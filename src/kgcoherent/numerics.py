@@ -3,8 +3,13 @@
 Everything here is self-contained (numpy only): log-gamma, Hermite and
 Gegenbauer polynomials by three-term recursion, the modified Bessel
 function K_nu by its cosh integral representation, compensated summation,
-composite Simpson quadrature on uniform grids, and a Sturm-bisection
+composite Simpson quadrature on uniform grids, and a Sturm-multisection
 eigensolver for symmetric tridiagonal matrices.
+
+The eigensolver's cost is its Sturm counts.  sturm_count runs the pivot
+recurrence for all shifts at once, a block of rows at a time, so a pass
+costs about one Python-level step (two small ufunc calls) per matrix row,
+nearly independent of the number of shifts up to a few hundred.
 """
 
 import math
@@ -268,20 +273,56 @@ def quadrature(f):
 # tridiagonal eigensolver (Sturm bisection)
 
 _PIVMIN = 1e-290
+_BLOCK_CELLS = 1 << 15  # pivots held per block: 2^15 float64 cells, 256 KB
+
+
+def _pivot_rows(off2, piv, rows, guard):
+    # rows[j] holds diag - x on entry and the pivot d_j on exit; piv[j] is
+    # the pivot before rows[j] (piv[0] is carried over from the last block).
+    q = np.empty(rows.shape[1])
+    for e, prev, row in zip(off2, piv, rows):
+        np.divide(e, prev, q)  # positional out: cheaper to parse than out=
+        np.subtract(row, q, row)
+        if guard:
+            row[np.abs(row) < _PIVMIN] = -_PIVMIN
 
 
 def sturm_count(matrix, x):
-    """Number of eigenvalues of `matrix` strictly below each shift in x."""
+    """Number of eigenvalues of `matrix` strictly below each shift in x.
+
+    Counts the negative pivots of the LDL^T factorization of T - x,
+    d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}, with every pivot of magnitude
+    below _PIVMIN replaced by -_PIVMIN (the guarded recurrence of LAPACK's
+    dstebz).  Rows are processed in blocks of about _BLOCK_CELLS / len(x)
+    rows: a block first runs the recurrence unguarded, two in-place ufunc
+    calls per row over all shifts, and is redone row by row with the guard
+    only if it produced a pivot that is tiny, zero or NaN (LAPACK's dlaneg
+    strategy).  A block that passes that check had nothing to guard, so
+    the counts equal those of the guarded recurrence bit for bit.  The cost
+    is one Python-level step per row plus a few whole-block numpy calls per
+    block, and memory stays at one block, whatever the matrix dimension.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diag = matrix.diag
-    off2 = matrix.offdiag ** 2
-    d = diag[0] - x
-    d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
-    count = (d < 0.0).astype(np.int64)
-    for i in range(1, diag.size):
-        d = diag[i] - x - off2[i - 1] / d
-        d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
-        count += d < 0.0
+    n = diag.size
+    # off2[i] couples rows i-1 and i; a zero coupling to a unit pivot makes
+    # row 0 the same update as every other row.
+    off2 = [0.0] + (matrix.offdiag ** 2).tolist()
+    block_rows = max(1, min(n, _BLOCK_CELLS // x.size))
+    piv = np.empty((block_rows + 1, x.size))
+    piv[0] = 1.0
+    count = np.zeros(x.size, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for start in range(0, n, block_rows):
+            stop = min(start + block_rows, n)
+            rows = piv[1:stop - start + 1]
+            np.subtract(diag[start:stop, None], x, out=rows)
+            _pivot_rows(off2[start:stop], piv, rows, guard=False)
+            if not (np.abs(rows).min() >= _PIVMIN):
+                np.subtract(diag[start:stop, None], x, out=rows)
+                _pivot_rows(off2[start:stop], piv, rows, guard=True)
+            count += np.count_nonzero(rows < 0.0, axis=0)
+            piv[0] = rows[-1]
     return count
 
 
@@ -289,14 +330,17 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
     """The `count` smallest eigenvalues, ascending, by Sturm multisection.
 
     Each round probes 16 interior points of every bracket in one vectorized
-    Sturm pass, shrinking brackets 17x per round.  The dominant cost is the
-    row loop in sturm_count, so fewer rounds beats one-point bisection.
-    Brackets are narrowed to width <= tol (or until no longer representable).
+    Sturm pass, shrinking brackets 17x per round.  A pass costs one step per
+    matrix row whatever the number of shifts (see sturm_count), so fewer
+    rounds with more probes beats one-point bisection.  Brackets are
+    narrowed to width <= tol (or until no longer representable).
 
     `brackets`, if given, is a (lo, hi) pair of per-eigenvalue starting
     intervals (e.g. from a coarser discretization).  They are checked by
     Sturm counts and expanded geometrically toward the Gershgorin bounds
-    wherever they miss, so a poor hint costs time but never correctness.
+    wherever they miss, so a poor hint costs time but never correctness:
+    if 60 doubling steps still leave a level outside its bracket, a
+    RuntimeError names the levels instead of returning a wrong eigenvalue.
     """
     n = matrix.dim
     if not (1 <= count <= n):
@@ -325,6 +369,11 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
             lo = np.where(miss_lo, np.maximum(lo - step, g_lo), lo)
             hi = np.where(miss_hi, np.minimum(hi + step, g_hi), hi)
             step *= 2.0
+        else:
+            levels = np.flatnonzero(miss_lo | miss_hi).tolist()
+            raise RuntimeError(
+                f"bracket expansion gave up after 60 steps: levels {levels} "
+                "(0-based) still lie outside their brackets")
     frac = np.linspace(0.0, 1.0, 18)[1:-1]
     rows = np.arange(count)
     for _ in range(60):

@@ -157,6 +157,16 @@ class TestVerifyCommands:
         assert payload["passed"]
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_verify_all_passes_on_defaults(self, capsys):
+        code, out, err = run(capsys, "verify", "all")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["passed"]
+        names = {c["name"] for c in payload["checks"]}
+        assert {"pt_equal_spacing", "pt_fd_convergence_order",
+                "measure_moment_n0", "norm_conservation"} <= names
+        assert all(c["passed"] for c in payload["checks"])
+
     def test_verify_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nonsense")
         assert code == 2

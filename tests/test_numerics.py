@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kgcoherent.numerics import (
+    _BLOCK_CELLS,
+    _PIVMIN,
     Grid,
     GridFunction,
     TridiagonalMatrix,
@@ -215,6 +217,14 @@ class TestTridiagonalEigen:
             assert below <= j
             assert above >= j + 1
 
+    def test_bracket_expansion_that_gives_up_raises(self):
+        # the hint sits where float spacing (6e-5) swallows the first
+        # expansion steps, so 60 doublings never reach the eigenvalue 0
+        m = TridiagonalMatrix([0.0, 1e12], [0.0])
+        with pytest.raises(RuntimeError, match=r"levels \[0\]"):
+            tridiag_smallest_eigenvalues(
+                m, 1, brackets=([5e11], [5e11 + 1e-10]))
+
     def test_count_validation(self):
         m = TridiagonalMatrix([1.0, 2.0], [0.5])
         with pytest.raises(ValueError):
@@ -225,6 +235,54 @@ class TestTridiagonalEigen:
             TridiagonalMatrix([1.0, 2.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             TridiagonalMatrix([1.0, float("nan")], [0.5])
+
+
+def guarded_sturm_count(matrix, x):
+    """Reference: the guarded pivot recurrence, one row at a time."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    diag = matrix.diag
+    off2 = matrix.offdiag ** 2
+    d = diag[0] - x
+    d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
+    count = (d < 0.0).astype(np.int64)
+    for i in range(1, diag.size):
+        d = diag[i] - x - off2[i - 1] / d
+        d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
+        count += d < 0.0
+    return count
+
+
+@st.composite
+def small_integer_tridiagonals(draw):
+    """Integer-valued entries and half-integer shifts: shifts land on
+    diagonal entries and couplings vanish, so pivots hit exact zero and
+    0/0.  The shift counts give one block of the whole matrix, blocks of
+    a few rows, and one row per block."""
+    n = draw(st.integers(1, 40))
+    diag = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    off = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.integers(-16, 16), min_size=1, max_size=8))
+    size = draw(st.sampled_from([1, 3, _BLOCK_CELLS // 5, _BLOCK_CELLS + 5]))
+    shifts = np.resize(np.asarray(values, dtype=float) / 2.0, size)
+    return TridiagonalMatrix(diag, off), shifts
+
+
+class TestSturmCount:
+    @settings(deadline=None)
+    @given(small_integer_tridiagonals())
+    def test_matches_guarded_recurrence(self, case):
+        matrix, shifts = case
+        got = sturm_count(matrix, shifts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, guarded_sturm_count(matrix, shifts))
+
+    @settings(deadline=None)
+    @given(small_integer_tridiagonals())
+    def test_monotone_in_shift(self, case):
+        matrix, shifts = case
+        counts = sturm_count(matrix, np.sort(shifts))
+        assert np.all(np.diff(counts) >= 0)
+        assert 0 <= counts[0] and counts[-1] <= matrix.dim
 
 
 class TestGrid:
