@@ -79,7 +79,8 @@ def synthesize(state, grid, t):
             raise ValueError("grid exceeds the hard-wall support")
     basis = state.model.eigenfunction_basis(state.coefficients.size - 1, x)
     weights = state.coefficients * np.exp(-1j * state.energies * float(t))
-    return GridFunction(grid, weights @ basis)
+    # the basis is real: two real products avoid a complex copy of it
+    return GridFunction(grid, weights.real @ basis + 1j * (weights.imag @ basis))
 
 
 def position_moments(f):

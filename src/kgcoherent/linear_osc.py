@@ -132,7 +132,7 @@ def coherent_coefficients(spec):
         return c
     phase = cmath.phase(alpha)
     log_mag = (n_idx * math.log(r) - 0.5 * r * r
-               - 0.5 * np.array([log_gamma(n + 1.0) for n in n_idx]))
+               - 0.5 * np.array([math.lgamma(n) for n in (n_idx + 1.0).tolist()]))
     return np.exp(log_mag) * np.exp(1j * phase * n_idx)
 
 

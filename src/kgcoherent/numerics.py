@@ -1,10 +1,11 @@
 """Special-function and numerical kernels used throughout the package.
 
-Everything here is self-contained (numpy only): log-gamma, Hermite and
-Gegenbauer polynomials by three-term recursion, the modified Bessel
-function K_nu by its cosh integral representation, compensated summation,
-composite Simpson quadrature on uniform grids, and a Sturm-multisection
-eigensolver for symmetric tridiagonal matrices.
+Everything here is self-contained (numpy and the stdlib only): log-gamma
+(math.lgamma behind a domain check), Hermite and Gegenbauer polynomials by
+three-term recursion, the modified Bessel function K_nu by the trapezoid
+rule on its cosh integral (one table for all orders, nested step halving),
+compensated summation, composite Simpson quadrature on uniform grids, and
+a Sturm-multisection eigensolver for symmetric tridiagonal matrices.
 
 The eigensolver's cost is its Sturm counts.  sturm_count runs the pivot
 recurrence for all shifts at once, a block of rows at a time, so a pass
@@ -24,7 +25,6 @@ __all__ = [
     "log_gamma",
     "hermite_h",
     "gegenbauer_c",
-    "bessel_k",
     "bessel_k_many",
     "compensated_sum",
     "quadrature",
@@ -100,41 +100,12 @@ class TridiagonalMatrix:
 # ---------------------------------------------------------------------------
 # log-gamma
 
-# Bernoulli coefficients B_{2k} / (2k (2k-1)) of the Stirling series.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(x):
-    """ln Gamma(x) for real x > 0.
-
-    Stirling's series for x >= 12, with upward recursion
-    ln Gamma(x) = ln Gamma(x+n) - sum ln(x+j) below that.
-    """
+    """ln Gamma(x) for real x > 0 (math.lgamma behind a domain check)."""
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError("log_gamma requires finite x > 0")
-    shift = 0.0
-    while x < 12.0:
-        shift += math.log(x)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    series = 0.0
-    t = 1.0 / x
-    for c in _STIRLING:
-        series += c * t
-        t *= inv2
-    return (x - 0.5) * math.log(x) - x + _HALF_LOG_2PI + series - shift
+    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +149,16 @@ def gegenbauer_c(n, lam, t):
 # modified Bessel K via the cosh integral representation
 
 
-def _bessel_cutoff(nu, z_min):
-    # Solve z*cosh(T) - nu*T ~ 46 beyond the e^{-z} scale of the integrand.
-    target = 46.0
+_BESSEL_TAIL = 46.0  # ln of the relative level the Bessel-K integral may drop
+_HALVINGS = 8  # most step halvings of the Bessel-K trapezoid rule
+
+
+def _bessel_cutoff(nu_max, z_min):
+    # Solve z_min*(cosh(T) - 1) - nu_max*T ~ _BESSEL_TAIL: past T the
+    # integrand is below e^{-46} of the e^{-z} scale of K, for every order and z.
     t = 2.0
     for _ in range(40):
-        t_new = math.acosh(max((target + nu * t) / z_min, 1.0 + 1e-12))
+        t_new = math.acosh(1.0 + (_BESSEL_TAIL + nu_max * t) / z_min)
         if abs(t_new - t) < 1e-3:
             t = t_new
             break
@@ -192,41 +167,70 @@ def _bessel_cutoff(nu, z_min):
 
 
 def bessel_k_many(nu, z):
-    """K_nu(z) for an array of z > 0 (shared trapezoid refinement).
+    """K_nu(z) for an array of z > 0 and one order or a sequence of orders.
 
-    Integrates e^{-z cosh t} cosh(nu t) on [0, T] by the trapezoid rule with
-    step halving; the integrand is even and analytic, so the refinement
-    converges geometrically.
+    Integrates e^{-z cosh t} cosh(nu t) on [0, T] by the trapezoid rule,
+    which converges geometrically for this even, analytic integrand
+    (Trefethen & Weideman, SIAM Review 56, 2014).  All orders share one
+    table of e^{-z cosh t}, and each step halving evaluates only the new
+    midpoints and adds them to the running sum.  A scalar nu gives
+    z.shape, a sequence (len(nu),) + z.shape.  Raises OverflowError if a
+    value is not finite and RuntimeError if _HALVINGS halvings of the
+    initial step (<= 0.5) leave a relative change above 1e-13.
     """
-    if nu < 0.0:
+    orders = np.asarray(nu, dtype=float)
+    if orders.ndim > 1 or np.any(~(orders >= 0.0)):
         raise ValueError("bessel_k requires nu >= 0")
     z = np.asarray(z, dtype=float)
     if np.any(~(z > 0.0)):
         raise ValueError("bessel_k requires z > 0")
-    t_max = _bessel_cutoff(nu, float(z.min()))
+    nus = np.atleast_1d(orders)
+    col = z.reshape(-1, 1)
+    nu_max = float(nus.max())
+    t_max = _bessel_cutoff(nu_max, float(z.min()))
+    # A table entry below e^{-z - 46 - nu_max T} stays below e^{-46} of K's
+    # e^{-z} scale even after the cosh(nu t) factor, so raising entries to
+    # that floor moves no sum beyond round-off, and it keeps exp off its
+    # slow path for results that underflow (7x slower per element).
+    floor = -(col + (_BESSEL_TAIL + nu_max * t_max))
 
-    def trap(h):
-        t = np.arange(0.0, t_max + h, h)
-        f = np.exp(-np.outer(z, np.cosh(t))) * np.cosh(nu * t)
-        w = np.full(t.size, h)
-        w[0] = w[-1] = 0.5 * h
-        return f @ w
+    def node_sum(t, w=1.0):
+        # sum over nodes t of w e^{-z cosh t} cosh(nu t), shape (len(nu), z.size)
+        table = np.exp(np.maximum(-col * np.cosh(t), floor))
+        return (table @ (np.cosh(t[:, None] * nus) * w)).T
 
-    h = 0.5
-    val = trap(h)
-    for _ in range(8):
-        h *= 0.5
-        new = trap(h)
-        if np.all(np.abs(new - val) <= 1e-13 * np.abs(new)):
+    intervals = math.ceil(2.0 * t_max)
+    h = t_max / intervals
+    ends = np.ones((intervals + 1, 1))
+    ends[0] = ends[-1] = 0.5
+    converged = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = node_sum(np.arange(intervals + 1) * h, ends)
+        val = h * total
+        for _ in range(_HALVINGS):
+            if not np.isfinite(val).all():
+                break
+            total = total + node_sum((np.arange(intervals) + 0.5) * h)
+            intervals *= 2
+            h *= 0.5
+            new = h * total
+            converged = bool((np.abs(new - val) <= 1e-13 * np.abs(new)).all())
             val = new
-            break
-        val = new
-    return val
-
-
-def bessel_k(nu, z):
-    """Modified Bessel function of the second kind K_nu(z), z > 0."""
-    return float(bessel_k_many(nu, np.array([float(z)]))[0])
+            if converged:
+                break
+    bad = ~np.isfinite(val)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise OverflowError(
+            f"bessel_k_many: K_nu(z) overflows double precision at "
+            f"nu={nus[i]:g}, z={z.ravel()[j]:g} ({int(bad.sum())} value(s) "
+            "not finite)")
+    if not converged:
+        raise RuntimeError(
+            f"bessel_k_many: trapezoid rule not converged to 1e-13 after "
+            f"{_HALVINGS} halvings for nu={nus.tolist()}, "
+            f"z in [{z.min():g}, {z.max():g}]")
+    return val.reshape(nus.shape + z.shape) if orders.ndim else val.reshape(z.shape)
 
 
 # ---------------------------------------------------------------------------

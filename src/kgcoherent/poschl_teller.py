@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import bessel_k, bessel_k_many, gegenbauer_c, log_gamma
+from .numerics import bessel_k_many, gegenbauer_c, log_gamma
 
 __all__ = [
     "PTModel",
@@ -155,10 +155,10 @@ class PTCoherentState:
 
 def _log_weights(lam, n_max):
     # log of [1 / (n! (n+lam) Gamma(2 lam + n))]^(1/2) without the lam*Gamma(2 lam) factor
-    n_idx = np.arange(n_max + 1)
-    return -0.5 * np.array([
-        log_gamma(n + 1.0) + math.log(n + lam) + log_gamma(2.0 * lam + n)
-        for n in n_idx])
+    n = np.arange(n_max + 1.0)
+    log_gammas = [math.lgamma(a) + math.lgamma(b)
+                  for a, b in zip((n + 1.0).tolist(), (n + 2.0 * lam).tolist())]
+    return -0.5 * (np.array(log_gammas) + np.log(n + lam))
 
 
 def coherent_coefficients(model, alpha, truncation=60):
@@ -254,9 +254,7 @@ def measure_weight(model, x):
     if np.any(~(x > 0.0)):
         raise ValueError("measure_weight requires x > 0")
     z = 2.0 * np.sqrt(x)
-    k_mid = bessel_k_many(nu, z)
-    k_lo = bessel_k_many(nu - 1.0, z)
-    k_hi = bessel_k_many(nu + 1.0, z)
+    k_lo, k_mid, k_hi = bessel_k_many((nu - 1.0, nu, nu + 1.0), z)
     vals = x ** lam * (k_lo + k_hi) - x ** (lam - 0.5) * k_mid
     return float(vals[0]) if scalar else vals
 

@@ -1,6 +1,7 @@
 """Grid synthesis and quadrature moments: the model-independent oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ class TestSynthesize:
             f = synthesize(state, grid, t)
             norms.append(quadrature(GridFunction(grid, np.abs(f.values) ** 2)).real)
         assert max(norms) - min(norms) < 1e-10
+
+    def test_peak_memory_stays_near_the_real_basis(self):
+        # a complex-by-real product would copy the basis as complex (2x its size)
+        state = linear_coherent_state(1 + 2j)
+        grid = default_grid(state.model, 4001)
+        synthesize(state, grid, 0.7)  # warm-up: imports, caches
+        basis_bytes = state.coefficients.size * grid.count * 8  # 51 x 4001 floats
+        tracemalloc.start()
+        try:
+            synthesize(state, grid, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * basis_bytes
 
 
 class TestPositionMoments:

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import kv
 
+from kgcoherent import numerics
 from kgcoherent.numerics import (
     _BLOCK_CELLS,
     _PIVMIN,
     Grid,
     GridFunction,
     TridiagonalMatrix,
-    bessel_k,
+    bessel_k_many,
     compensated_sum,
     gegenbauer_c,
     hermite_h,
@@ -114,14 +116,18 @@ class TestGegenbauer:
                 assert abs(val.real) / math.sqrt(norms[m] * norms[n]) < 1e-8
 
 
+def _k(nu, z):
+    return float(bessel_k_many(nu, [z])[0])
+
+
 class TestBesselK:
     def test_half_order_closed_form(self):
         for z in (1.0, 2.0):
             want = math.sqrt(math.pi / (2 * z)) * math.exp(-z)
-            assert bessel_k(0.5, z) == pytest.approx(want, rel=1e-12)
+            assert _k(0.5, z) == pytest.approx(want, rel=1e-12)
 
     def test_golden_point(self):
-        assert bessel_k(2.236068, 1.0) == pytest.approx(BESSEL_GOLDEN, rel=1e-10)
+        assert _k(2.236068, 1.0) == pytest.approx(BESSEL_GOLDEN, rel=1e-10)
 
     def test_brute_force_quadrature_oracle(self):
         # independent fixed trapezoid at 10x the resolution the kernel settles at
@@ -129,21 +135,47 @@ class TestBesselK:
         t = np.linspace(0.0, 30.0, 300001)
         f = np.exp(-z * np.cosh(t)) * np.cosh(nu * t)
         want = np.trapezoid(f, t)
-        assert bessel_k(nu, z) == pytest.approx(want, rel=1e-10)
+        assert _k(nu, z) == pytest.approx(want, rel=1e-10)
 
     def test_recurrence(self):
         for nu in (0.3, 1.0, 2.7, 6.0):
             for z in (0.01, 0.5, 3.0, 20.0):
-                lhs = bessel_k(nu + 1.0, z)
-                rhs = bessel_k(nu - 1.0, z) if nu >= 1.0 else bessel_k(1.0 - nu, z)
-                rhs += (2.0 * nu / z) * bessel_k(nu, z)
+                lhs = _k(nu + 1.0, z)
+                rhs = _k(nu - 1.0, z) if nu >= 1.0 else _k(1.0 - nu, z)
+                rhs += (2.0 * nu / z) * _k(nu, z)
                 assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            bessel_k(0.5, 0.0)
+            bessel_k_many(0.5, [0.0])
         with pytest.raises(ValueError):
-            bessel_k(-1.0, 1.0)
+            bessel_k_many(-1.0, [1.0])
+
+    @pytest.mark.parametrize("z", [20.0, 25.0, 30.0, 40.0])
+    @pytest.mark.parametrize("nu", [0.5, 1.5, 6.0, 20.0])
+    def test_single_point_large_z(self, nu, z):
+        # the cutoff is set against K's own e^{-z} scale, not an absolute level
+        assert _k(nu, z) == pytest.approx(kv(nu, z), rel=1e-12, abs=0.0)
+
+    def test_order_sequence_matches_per_order_calls(self):
+        nus = (0.3, 1.3, 2.3, 7.0)
+        z = np.geomspace(0.005, 45.0, 24).reshape(4, 6)
+        many = bessel_k_many(nus, z)
+        assert many.shape == (len(nus),) + z.shape
+        for row, nu in zip(many, nus):
+            np.testing.assert_allclose(row, bessel_k_many(nu, z), rtol=1e-14)
+
+    def test_overflow_raises(self):
+        # K_200(5) = 4.9e292, but cosh(200 t) overflows inside the integral
+        with pytest.raises(OverflowError, match=r"nu=200.*z=1"):
+            bessel_k_many(200.0, [1.0, 5.0])
+
+    def test_unconverged_raises(self, monkeypatch):
+        # one halving of the 0.5 step leaves a change near 1e-9 here; the
+        # kernel must say so instead of returning its last iterate
+        monkeypatch.setattr(numerics, "_HALVINGS", 1)
+        with pytest.raises(RuntimeError, match=r"not converged.*nu=\[1.5\].*z in \[2, 3\]"):
+            bessel_k_many(1.5, [2.0, 3.0])
 
 
 class TestCompensatedSum:

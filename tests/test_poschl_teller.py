@@ -240,6 +240,11 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure_weight(PTModel(1, 1), -1.0)
 
+    def test_weight_overflow_raises(self):
+        # nu = 2 lambda - 1 = 120: K_nu(2 sqrt(x)) overflows double precision
+        with pytest.raises(OverflowError, match=r"overflows.*nu=1\d\d.*z=1.41"):
+            measure_weight(PTModel(60, 1), [0.5, 2.0])
+
     def test_verifier_validation(self):
         with pytest.raises(ValueError):
             verify_measure_moments(PTModel(1, 1), 13)
