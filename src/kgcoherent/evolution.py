@@ -49,10 +49,6 @@ class StateVector:
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "energies", e)
 
-    @property
-    def model_tag(self):
-        return "LinearScalar" if isinstance(self.model, LinearModel) else "PoschlTeller"
-
 
 def make_state(model, coefficients):
     """Bundle model, coefficients, and the matching energies."""
@@ -145,7 +141,7 @@ def lowering_residual(state, t):
     Applies out_n = sqrt(n+1) c_{n+1}(t) and returns
     min_mu ||out - mu c(t)|| / ||c(t)|| (mu = <c, out>/<c, c>).
     """
-    if state.model_tag != "LinearScalar":
+    if not isinstance(state.model, LinearModel):
         raise ValueError("lowering_residual is defined for the linear model")
     c = state.coefficients * np.exp(-1j * state.energies * float(t))
     norm2 = np.vdot(c, c).real

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import compensated_sum, hermite_h, log_gamma
+from .numerics import compensated_sum
 
 __all__ = [
     "LinearModel",
@@ -27,7 +27,6 @@ __all__ = [
     "time_series",
 ]
 
-HEISENBERG_FLOOR = 0.5 * (1.0 - 1e-6)
 _VAR_CLAMP = -1e-10
 
 
@@ -63,20 +62,6 @@ class LinearModel:
         if n < 0:
             raise ValueError("n must be >= 0")
         return (2 * n + 1) * self.k / (2.0 * self.m)
-
-    def eigenfunction(self, n, x):
-        """Normalized oscillator eigenfunction u_n(x), with m*omega = k."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        xi = math.sqrt(self.k) * float(x)
-        log_norm = 0.25 * math.log(self.k / math.pi) - 0.5 * (
-            n * math.log(2.0) + log_gamma(n + 1.0))
-        h = hermite_h(n, xi)
-        if h == 0.0:
-            return 0.0
-        # split the exponent so large-n values stay in range
-        return math.copysign(1.0, h) * math.exp(
-            log_norm + math.log(abs(h)) - 0.5 * xi * xi)
 
     def eigenfunction_basis(self, n_max, x):
         """Rows u_0..u_{n_max} sampled on the array x (stable recursion)."""
@@ -172,16 +157,8 @@ def expectation_series(model, spec, t):
 
 def uncertainties(model, spec, t):
     """(dx, dp, dx*dp) from the closed-form series at time t."""
-    mean_x, mean_p, mean_x2, mean_p2 = expectation_series(model, spec, t)
-    var_x = mean_x2 - mean_x * mean_x
-    var_p = mean_p2 - mean_p * mean_p
-    if var_x < _VAR_CLAMP or var_p < _VAR_CLAMP:
-        raise VarianceError(
-            f"negative variance beyond round-off at t={t}: "
-            f"var_x={var_x:.3e}, var_p={var_p:.3e}")
-    dx = math.sqrt(max(var_x, 0.0))
-    dp = math.sqrt(max(var_p, 0.0))
-    return dx, dp, dx * dp
+    ts = time_series(model, spec, [t])
+    return float(ts.dx[0]), float(ts.dp[0]), float(ts.product[0])
 
 
 def time_series(model, spec, t_grid):
@@ -197,8 +174,12 @@ def time_series(model, spec, t_grid):
     mean_x, mean_p, mean_x2, mean_p2 = rows.T
     var_x = mean_x2 - mean_x ** 2
     var_p = mean_p2 - mean_p ** 2
-    if np.any(var_x < _VAR_CLAMP) or np.any(var_p < _VAR_CLAMP):
-        raise VarianceError("negative variance beyond round-off in time series")
+    bad = (var_x < _VAR_CLAMP) | (var_p < _VAR_CLAMP)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise VarianceError(
+            f"negative variance beyond round-off at t={t_grid[i]}: "
+            f"var_x={var_x[i]:.3e}, var_p={var_p[i]:.3e}")
     dx = np.sqrt(np.maximum(var_x, 0.0))
     dp = np.sqrt(np.maximum(var_p, 0.0))
     return TimeSeries(t=t_grid, mean_x=mean_x, mean_p=mean_p,

@@ -1,11 +1,11 @@
 """Special-function and numerical kernels used throughout the package.
 
 Everything here is self-contained (numpy and the stdlib only): log-gamma
-(math.lgamma behind a domain check), Hermite and Gegenbauer polynomials by
-three-term recursion, the modified Bessel function K_nu by the trapezoid
-rule on its cosh integral (one table for all orders, nested step halving),
-compensated summation, composite Simpson quadrature on uniform grids, and
-a Sturm-multisection eigensolver for symmetric tridiagonal matrices.
+(math.lgamma behind a domain check), the modified Bessel function K_nu by
+the trapezoid rule on its cosh integral (one table for all orders, nested
+step halving), exactly rounded summation (math.fsum behind a finiteness
+check), composite Simpson quadrature on uniform grids, and a
+Sturm-multisection eigensolver for symmetric tridiagonal matrices.
 
 The eigensolver's cost is its Sturm counts.  sturm_count runs the pivot
 recurrence for all shifts at once, a block of rows at a time, so a pass
@@ -23,8 +23,6 @@ __all__ = [
     "GridFunction",
     "TridiagonalMatrix",
     "log_gamma",
-    "hermite_h",
-    "gegenbauer_c",
     "bessel_k_many",
     "compensated_sum",
     "quadrature",
@@ -106,43 +104,6 @@ def log_gamma(x):
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError("log_gamma requires finite x > 0")
     return math.lgamma(x)
-
-
-# ---------------------------------------------------------------------------
-# orthogonal polynomials
-
-
-def hermite_h(n, x):
-    """Physicists' Hermite polynomial H_n(x) by three-term recursion."""
-    if n < 0:
-        raise ValueError("hermite_h requires n >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = 2.0 * x
-    for j in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * j * h_prev
-    if np.any(~np.isfinite(h_cur)):
-        raise OverflowError("hermite_h overflowed (n, x too large)")
-    return h_cur if h_cur.ndim else float(h_cur)
-
-
-def gegenbauer_c(n, lam, t):
-    """Gegenbauer polynomial C_n^lam(t) by three-term recursion."""
-    if n < 0:
-        raise ValueError("gegenbauer_c requires n >= 0")
-    if not (lam > 0.0):
-        raise ValueError("gegenbauer_c requires lambda > 0")
-    t = np.asarray(t, dtype=float)
-    c_prev = np.ones_like(t)
-    if n == 0:
-        return c_prev if c_prev.ndim else float(c_prev)
-    c_cur = 2.0 * lam * t
-    for j in range(2, n + 1):
-        c_prev, c_cur = c_cur, (2.0 * (j + lam - 1.0) * t * c_cur
-                                - (j + 2.0 * lam - 2.0) * c_prev) / j
-    return c_cur if c_cur.ndim else float(c_cur)
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +195,15 @@ def bessel_k_many(nu, z):
 
 
 # ---------------------------------------------------------------------------
-# compensated summation
+# summation
 
 
 def compensated_sum(terms):
-    """Neumaier compensated sum of a sequence of finite reals."""
-    s = 0.0
-    c = 0.0
-    for x in terms:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError("compensated_sum requires finite terms")
-        t = s + x
-        if abs(s) >= abs(x):
-            c += (s - t) + x
-        else:
-            c += (x - t) + s
-        s = t
-    return s + c
+    """Exactly rounded sum of a sequence of finite reals (math.fsum)."""
+    total = math.fsum(np.asarray(terms, dtype=float).tolist())
+    if not math.isfinite(total):
+        raise ValueError("compensated_sum requires finite terms")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +211,14 @@ def compensated_sum(terms):
 
 
 def quadrature(f):
-    """Integral of a GridFunction: composite Simpson (trapezoid if count even)."""
-    h = f.grid.h
-    v = f.values
+    """Integral of a GridFunction by composite Simpson (odd point count only)."""
     n = f.grid.count
-    if n % 2 == 1:
-        w = np.ones(n)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        total = complex(np.dot(w, v) * (h / 3.0))
-    else:
-        total = complex((np.sum(v) - 0.5 * (v[0] + v[-1])) * h)
-    return total
+    if n % 2 == 0:
+        raise ValueError(f"quadrature requires an odd point count, got {n}")
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return complex(np.dot(w, f.values) * (f.grid.h / 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import bessel_k_many, gegenbauer_c, log_gamma
+from .numerics import bessel_k_many, log_gamma
 
 __all__ = [
     "PTModel",
@@ -78,20 +78,6 @@ class PTModel:
                       + (2.0 * lam - 1.0) * math.log(2.0)
                       - math.log(math.pi) - log_gamma(2.0 * lam + n))
 
-    def eigenfunction(self, n, x):
-        """u_n(x) = N_n (cos wx)^lambda C_n^lambda(sin wx); zero outside the wall."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        x = float(x)
-        if abs(x) > self.half_width:
-            return 0.0
-        wx = self.omega * x
-        c = math.cos(wx)
-        if c <= 0.0:
-            return 0.0
-        poly = gegenbauer_c(n, self.lam, math.sin(wx))
-        return math.exp(self._log_norm(n) + self.lam * math.log(c)) * poly
-
     def eigenfunction_basis(self, n_max, x):
         """Rows u_0..u_{n_max} sampled on the array x."""
         x = np.asarray(x, dtype=float)
@@ -117,13 +103,17 @@ class PTModel:
 
 
 def ladder_coeff(n, lam):
-    """D(n, lambda) = sqrt((n+1)(2 lambda + n) / ((n+lambda)(n+1+lambda)))."""
-    if n < 0:
+    """D(n, lambda) = sqrt((n+1)(2 lambda + n) / ((n+lambda)(n+1+lambda))).
+
+    n is one level (gives a float) or an array of levels (gives an array).
+    """
+    n = np.asarray(n, dtype=float)
+    if np.any(n < 0):
         raise ValueError("n must be >= 0")
     if not (lam > 1.0):
         raise ValueError("lambda must exceed 1")
-    return math.sqrt((n + 1.0) * (2.0 * lam + n)
-                     / ((n + lam) * (n + 1.0 + lam)))
+    d = np.sqrt((n + 1.0) * (2.0 * lam + n) / ((n + lam) * (n + 1.0 + lam)))
+    return d if d.ndim else float(d)
 
 
 def apply_annihilation(model, c):
@@ -132,9 +122,7 @@ def apply_annihilation(model, c):
     lam = model.lam
     out = np.zeros_like(c)
     n_idx = np.arange(c.size - 1)
-    factors = (n_idx + 1.0 + lam) * np.array(
-        [ladder_coeff(int(n), lam) for n in n_idx])
-    out[:-1] = c[1:] * factors
+    out[:-1] = c[1:] * ((n_idx + 1.0 + lam) * ladder_coeff(n_idx, lam))
     return out
 
 
@@ -145,8 +133,6 @@ class PTCoherentState:
     model: PTModel
     alpha: complex
     coefficients: np.ndarray = field(repr=False)
-    s_alpha: float = 1.0
-    n_alpha: float = 1.0
 
     @property
     def truncation(self):
@@ -177,33 +163,28 @@ def coherent_coefficients(model, alpha, truncation=60):
     if r == 0.0:
         c = np.zeros(truncation + 1, dtype=complex)
         c[0] = 1.0
-        s_alpha = math.exp(2.0 * logw[0])
-        return PTCoherentState(model, alpha, c, s_alpha,
-                               1.0 / math.sqrt(lam * math.exp(log_gamma(2 * lam)) * s_alpha))
+        return PTCoherentState(model, alpha, c)
     log_terms = 2.0 * n_idx * math.log(r) + 2.0 * logw
     peak = float(np.max(log_terms))
     log_s = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
     phase = cmath.phase(alpha)
     c = np.exp(n_idx * math.log(r) + logw - 0.5 * log_s) \
         * np.exp(1j * phase * n_idx)
-    s_alpha = math.exp(log_s)
-    n_alpha = math.exp(-0.5 * (math.log(lam) + log_gamma(2.0 * lam) + log_s))
-    return PTCoherentState(model, alpha, c, s_alpha, n_alpha)
+    return PTCoherentState(model, alpha, c)
 
 
 def recursion_residual(state):
     """Max relative mismatch between the closed form and the one-step recursion."""
-    model, alpha, c = state.model, complex(state.alpha), state.coefficients
-    lam = model.lam
-    worst = 0.0
-    for n in range(c.size - 1):
-        step = alpha * math.sqrt((n + lam) / ((n + 1.0) * (2.0 * lam + n)
-                                              * (n + 1.0 + lam)))
-        predicted = step * c[n]
-        scale = max(abs(c[n + 1]), abs(predicted))
-        if scale > 0.0:
-            worst = max(worst, abs(c[n + 1] - predicted) / scale)
-    return worst
+    c = state.coefficients
+    lam = state.model.lam
+    n = np.arange(c.size - 1)
+    step = complex(state.alpha) * np.sqrt(
+        (n + lam) / ((n + 1.0) * (2.0 * lam + n) * (n + 1.0 + lam)))
+    predicted = step * c[:-1]
+    scale = np.maximum(np.abs(c[1:]), np.abs(predicted))
+    nonzero = scale > 0.0
+    rel = np.abs(c[1:] - predicted)[nonzero] / scale[nonzero]
+    return float(np.max(rel, initial=0.0))
 
 
 def evolve(state, t):

@@ -9,6 +9,7 @@ callers.
 import numpy as np
 
 from . import evolution, linear_osc, oracle, poschl_teller
+from .numerics import GridFunction, quadrature
 
 __all__ = ["verify_spectra", "verify_coherence", "verify_measure",
            "verify_oracle", "run_suite", "SUITES"]
@@ -102,7 +103,6 @@ def verify_oracle(grid_count=4001, truncation=50):
     checks.append(_check("linear_series_vs_quadrature", worst, 1e-6))
     f0 = evolution.synthesize(state, grid, 0.0)
     f1 = evolution.synthesize(state, grid, 5.0)
-    from .numerics import GridFunction, quadrature
     n0 = quadrature(GridFunction(grid, np.abs(f0.values) ** 2)).real
     n1 = quadrature(GridFunction(grid, np.abs(f1.values) ** 2)).real
     checks.append(_check("norm_conservation", abs(n1 - n0), 1e-10))

@@ -58,6 +58,11 @@ class TestSpectrumCommand:
         assert code == 2
         assert "coupling must be positive" in err
 
+    def test_zero_omega_rejected(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--model", "pt", "--omega", "0")
+        assert code == 2
+        assert "m and omega must be positive" in err
+
 
 class TestStateCommand:
     def test_linear_vacuum(self, capsys):
@@ -181,6 +186,18 @@ class TestVerifyCommands:
     def test_measure_check_validation(self, capsys):
         code, _, _ = run(capsys, "measure-check", "--m", "-1")
         assert code == 2
+
+    def test_measure_check_zero_omega(self, capsys):
+        code, out, err = run(capsys, "measure-check", "--omega", "0")
+        assert code == 2
+        assert out == ""
+        assert "error: m and omega must be positive" in err
+
+    def test_measure_check_n_max_too_large(self, capsys):
+        code, out, err = run(capsys, "measure-check", "--n-max", "13")
+        assert code == 2
+        assert out == ""
+        assert "n_max above 12" in err
 
     def test_oracle_command(self, capsys):
         code, out, _ = run(capsys, "oracle", "--model", "linear",

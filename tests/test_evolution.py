@@ -201,10 +201,3 @@ class TestStateVector:
         m = LinearModel(1, 1)
         with pytest.raises(ValueError):
             evolution.StateVector(m, np.zeros(3, dtype=complex), np.zeros(4))
-
-    def test_model_tags(self):
-        lin = linear_coherent_state(0.5)
-        assert lin.model_tag == "LinearScalar"
-        m = PTModel(1, 1)
-        state = make_state(m, poschl_teller.coherent_coefficients(m, 0.5, 10).coefficients)
-        assert state.model_tag == "PoschlTeller"

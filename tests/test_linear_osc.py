@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_hermite
 
 from kgcoherent import evolution, linear_osc
 from kgcoherent.linear_osc import (
@@ -55,29 +56,31 @@ class TestSpectrum:
 
 class TestEigenfunctions:
     def test_gaussian_peak(self):
-        m = LinearModel(1, 1)
-        assert m.eigenfunction(0, 0.0) == pytest.approx(
-            0.75112554446494248, rel=1e-13)
+        u0 = LinearModel(1, 1).eigenfunction_basis(0, [0.0])[0, 0]
+        assert u0 == pytest.approx(0.75112554446494248, rel=1e-13)
 
     def test_odd_parity(self):
-        assert LinearModel(1, 1).eigenfunction(1, 0.0) == 0.0
+        assert LinearModel(1, 1).eigenfunction_basis(1, [0.0])[1, 0] == 0.0
 
     def test_unit_norm(self):
         m = LinearModel(1, 1)
         g = Grid(-12.0, 12.0, 4001)
-        x = g.points()
-        u3 = np.array([m.eigenfunction(3, xi) for xi in x])
+        u3 = m.eigenfunction_basis(3, g.points())[3]
         val = quadrature(GridFunction(g, u3 * u3)).real
         assert val == pytest.approx(1.0, abs=1e-8)
 
-    def test_basis_matches_scalar(self):
+    def test_basis_matches_scipy(self):
+        # independent route: scipy's Hermite polynomials times the
+        # closed-form norm (k/pi)^(1/4) / sqrt(2^n n!)
         m = LinearModel(1, 2.5)
         x = np.linspace(-3, 3, 7)
+        xi = math.sqrt(m.k) * x
         basis = m.eigenfunction_basis(12, x)
         for n in (0, 1, 5, 12):
-            for i, xi in enumerate(x):
-                assert basis[n, i] == pytest.approx(
-                    m.eigenfunction(n, xi), rel=1e-11, abs=1e-13)
+            want = ((m.k / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
+                    * eval_hermite(n, xi) * np.exp(-0.5 * xi * xi))
+            for i in range(x.size):
+                assert basis[n, i] == pytest.approx(want[i], rel=1e-11, abs=1e-13)
 
 
 class TestCoefficients:
@@ -154,6 +157,26 @@ class TestUncertainties:
             for t in np.linspace(0.0, 30.0, 61):
                 _, _, prod = uncertainties(m, spec, t)
                 assert prod >= 0.5 * (1.0 - 1e-6)
+
+    def test_matches_time_series(self):
+        m = LinearModel(1, 1.3)
+        spec = CoherentSpec(1 - 0.7j, 50)
+        t_grid = np.linspace(0.0, 20.0, 9)
+        ts = time_series(m, spec, t_grid)
+        for i, t in enumerate(t_grid):
+            assert uncertainties(m, spec, t) == (ts.dx[i], ts.dp[i], ts.product[i])
+
+    def test_negative_variance_names_first_bad_t(self, monkeypatch):
+        # <x^2> below <x>^2 at t >= 2 only
+        def series(model, spec, t):
+            return (1.0, 0.0, 0.5 if t >= 2.0 else 2.0, 1.0)
+
+        monkeypatch.setattr(linear_osc, "expectation_series", series)
+        m, spec = LinearModel(1, 1), CoherentSpec(0.5, 10)
+        with pytest.raises(VarianceError, match=r"at t=2\.5: var_x=-5\.000e-01"):
+            uncertainties(m, spec, 2.5)
+        with pytest.raises(VarianceError, match=r"at t=2\.0:"):
+            time_series(m, spec, [0.0, 1.0, 2.0, 3.0])
 
 
 class TestTimeSeries:

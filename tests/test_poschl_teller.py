@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_gegenbauer, gammaln
 
 from kgcoherent import poschl_teller as pt
 from kgcoherent.numerics import Grid, GridFunction, quadrature
@@ -59,17 +60,18 @@ class TestLambdaAndSpectrum:
 
 class TestEigenfunctions:
     def test_odd_parity_at_origin(self):
-        assert PTModel(1, 1).eigenfunction(1, 0.0) == 0.0
+        assert PTModel(1, 1).eigenfunction_basis(1, [0.0])[1, 0] == 0.0
 
     def test_vanishes_at_wall(self):
         # cos(omega L) only reaches ~6e-17 in floats; (cos)^lam crushes it
         m = PTModel(1, 1)
-        assert abs(m.eigenfunction(0, m.half_width)) < 1e-20
-        assert abs(m.eigenfunction(0, -m.half_width)) < 1e-20
+        u0 = m.eigenfunction_basis(0, [m.half_width, -m.half_width])[0]
+        assert abs(u0[0]) < 1e-20
+        assert abs(u0[1]) < 1e-20
 
     def test_zero_outside_wall(self):
         m = PTModel(1, 1)
-        assert m.eigenfunction(4, m.half_width * 1.5) == 0.0
+        assert m.eigenfunction_basis(4, [m.half_width * 1.5])[4, 0] == 0.0
 
     def test_orthonormality(self):
         m = PTModel(1, 1)
@@ -80,14 +82,24 @@ class TestEigenfunctions:
                 val = quadrature(GridFunction(g, basis[i] * basis[j])).real
                 assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
-    def test_basis_matches_scalar(self):
+    def test_basis_matches_scipy(self):
+        # independent route: scipy's Gegenbauer polynomials, normalized by
+        # h_n = int (1-t^2)^(lam-1/2) C_n^2 dt
+        #     = pi 2^(1-2 lam) Gamma(n + 2 lam) / (n! (n + lam) Gamma(lam)^2)
+        # and the Jacobian omega of t = sin(omega x)
         m = PTModel(2, 0.5)
+        lam = m.lam
         x = np.linspace(-0.9 * m.half_width, 0.9 * m.half_width, 9)
+        wx = m.omega * x
         basis = m.eigenfunction_basis(7, x)
         for n in (0, 1, 4, 7):
-            for i, xi in enumerate(x):
-                assert basis[n, i] == pytest.approx(
-                    m.eigenfunction(n, xi), rel=1e-11, abs=1e-13)
+            log_h = (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0)
+                     + gammaln(n + 2.0 * lam) - gammaln(n + 1.0)
+                     - math.log(n + lam) - 2.0 * gammaln(lam))
+            want = (math.exp(0.5 * (math.log(m.omega) - log_h))
+                    * np.cos(wx) ** lam * eval_gegenbauer(n, lam, np.sin(wx)))
+            for i in range(x.size):
+                assert basis[n, i] == pytest.approx(want[i], rel=1e-11, abs=1e-13)
 
 
 class TestLadder:
@@ -105,6 +117,30 @@ class TestLadder:
         assert abs(ladder_coeff(10_000, lam) - 1.0) < 1e-3
         for n in range(100):
             assert 0.0 < ladder_coeff(n, lam) < math.sqrt(2.0)
+
+    def test_array_matches_scalar_calls(self):
+        lam = 1.8
+        got = ladder_coeff(np.arange(100), lam)
+        assert isinstance(ladder_coeff(7, lam), float)
+        assert got.tolist() == [ladder_coeff(n, lam) for n in range(100)]
+        # the closed form one level at a time in stdlib floats
+        assert got.tolist() == [
+            math.sqrt((n + 1.0) * (2.0 * lam + n) / ((n + lam) * (n + 1.0 + lam)))
+            for n in range(100)]
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError):
+            ladder_coeff(np.array([0, 1, -1]), 1.8)
+
+    def test_annihilate_matches_levelwise_formula(self):
+        m = PTModel(1.3, 0.7)
+        lam = m.lam
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=40) + 1j * rng.normal(size=40)
+        want = [c[n + 1] * ((n + 1.0 + lam) * math.sqrt(
+                    (n + 1.0) * (2.0 * lam + n) / ((n + lam) * (n + 1.0 + lam))))
+                for n in range(39)] + [0.0]
+        assert apply_annihilation(m, c).tolist() == want
 
     def test_annihilate_first_excited(self):
         m = PTModel(1, 1)
@@ -146,6 +182,31 @@ class TestCoherentState:
     def test_recursion_consistency(self, alpha):
         state = coherent_coefficients(PTModel(1, 1), alpha, 60)
         assert recursion_residual(state) <= 1e-13
+
+    def test_recursion_residual_matches_levelwise_loop(self):
+        def loop_residual(state):
+            c, alpha, lam = state.coefficients, complex(state.alpha), state.model.lam
+            worst = 0.0
+            for n in range(c.size - 1):
+                predicted = alpha * math.sqrt((n + lam) / (
+                    (n + 1.0) * (2.0 * lam + n) * (n + 1.0 + lam))) * c[n]
+                scale = max(abs(c[n + 1]), abs(predicted))
+                if scale > 0.0:
+                    worst = max(worst, abs(c[n + 1] - predicted) / scale)
+            return worst
+
+        m = PTModel(1.3, 0.7)
+        # round-off-level residuals: the array form may multiply in another
+        # order, so allow a few ulps of the unit scale
+        for alpha in (0.0, 0.5, 1 + 0.5j, 2 - 1j):
+            state = coherent_coefficients(m, alpha, 60)
+            assert recursion_residual(state) == pytest.approx(
+                loop_residual(state), abs=1e-15)
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=30) + 1j * rng.normal(size=30)
+        state = pt.PTCoherentState(m, 0.8 - 0.3j, c)
+        assert recursion_residual(state) == pytest.approx(
+            loop_residual(state), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1 + 0.5j, 1 + 2j, 2 - 1j])
     def test_eigenstate_of_lowering(self, alpha):
