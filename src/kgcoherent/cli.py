@@ -15,7 +15,6 @@ paths.
 import argparse
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -47,22 +46,11 @@ class UsageError(Exception):
 
 def parse_alpha(text):
     """Parse 'a+bi' / 'a-bi' (whitespace tolerated, pure real/imaginary ok)."""
-    s = re.sub(r"\s+", "", str(text))
+    s = "".join(str(text).split())
+    if s.endswith("i"):
+        s = s[:-1] + "j"
     try:
-        if s and s[-1] in "ij":
-            body = s[:-1]
-            for idx in range(len(body) - 1, 0, -1):
-                if body[idx] in "+-" and body[idx - 1] not in "eE":
-                    real = float(body[:idx])
-                    tail = body[idx:]
-                    imag = float(tail + "1") if tail in "+-" else float(tail)
-                    return complex(real, imag)
-            if body in ("", "+"):
-                return complex(0.0, 1.0)
-            if body == "-":
-                return complex(0.0, -1.0)
-            return complex(0.0, float(body))
-        return complex(float(s), 0.0)
+        return complex(s)
     except ValueError:
         raise UsageError(f"cannot parse alpha {text!r}; expected a+bi")
 

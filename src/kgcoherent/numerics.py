@@ -124,6 +124,10 @@ def _bessel_cutoff(nu_max, z_min):
             t = t_new
             break
         t = t_new
+    if not math.isfinite(t):
+        raise ValueError(
+            f"bessel_k_many: z={z_min:g} is too small, its integration "
+            "cutoff overflows")
     return max(t, 1.0)
 
 
@@ -288,11 +292,10 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
     narrowed to width <= tol (or until no longer representable).
 
     `brackets`, if given, is a (lo, hi) pair of per-eigenvalue starting
-    intervals (e.g. from a coarser discretization).  They are checked by
-    Sturm counts and expanded geometrically toward the Gershgorin bounds
-    wherever they miss, so a poor hint costs time but never correctness:
-    if 60 doubling steps still leave a level outside its bracket, a
-    RuntimeError names the levels instead of returning a wrong eigenvalue.
+    intervals (e.g. from a coarser discretization).  One Sturm pass checks
+    them, and a level whose hint misses its eigenvalue starts from the
+    Gershgorin bracket instead, so a poor hint costs time but never
+    correctness.
     """
     n = matrix.dim
     if not (1 <= count <= n):
@@ -311,21 +314,11 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
         hi = np.clip(np.asarray(brackets[1], dtype=float), g_lo, g_hi)
         if lo.shape != (count,) or hi.shape != (count,) or np.any(lo > hi):
             raise ValueError("brackets must be valid (lo, hi) arrays")
-        step = np.maximum(hi - lo, tol)
-        for _ in range(60):
-            c = sturm_count(matrix, np.concatenate([lo, hi]))
-            miss_lo = c[:count] >= want   # eigenvalue not strictly above lo
-            miss_hi = c[count:] < want    # eigenvalue not at or below hi
-            if not (np.any(miss_lo) or np.any(miss_hi)):
-                break
-            lo = np.where(miss_lo, np.maximum(lo - step, g_lo), lo)
-            hi = np.where(miss_hi, np.minimum(hi + step, g_hi), hi)
-            step *= 2.0
-        else:
-            levels = np.flatnonzero(miss_lo | miss_hi).tolist()
-            raise RuntimeError(
-                f"bracket expansion gave up after 60 steps: levels {levels} "
-                "(0-based) still lie outside their brackets")
+        c = sturm_count(matrix, np.concatenate([lo, hi]))
+        # a hit has the eigenvalue strictly above lo and at or below hi
+        miss = (c[:count] >= want) | (c[count:] < want)
+        lo[miss] = g_lo
+        hi[miss] = g_hi
     frac = np.linspace(0.0, 1.0, 18)[1:-1]
     rows = np.arange(count)
     for _ in range(60):

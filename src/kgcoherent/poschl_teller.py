@@ -7,7 +7,10 @@ Eigenfunctions are evaluated through the Gegenbauer form
 (cos wx)^lambda C_n^lambda(sin wx), which has a stable recursion; ladder
 action on coefficient vectors uses the D(n, lambda) factors.  The
 resolution-of-unity measure weight is a Bessel-K construction whose
-moments are verified numerically.
+moments are verified numerically: the tail cutoff is the first rung of a
+geometric ladder where the tail bound holds, probed eight rungs per
+weight call, and the integral below it is the package's one Simpson rule
+(numerics.quadrature) in u = sqrt(x), doubled until it settles.
 """
 
 import cmath
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import bessel_k_many, log_gamma
+from .numerics import Grid, GridFunction, bessel_k_many, log_gamma, quadrature
 
 __all__ = [
     "PTModel",
@@ -34,10 +37,18 @@ __all__ = [
 
 
 def lambda_of(m, omega):
-    """Spectral offset lambda = 1/2 + sqrt(4 m^2/omega^2 + 1)/2 (> 1)."""
+    """Spectral offset lambda = 1/2 + sqrt(4 m^2/omega^2 + 1)/2 (> 1).
+
+    Raises ValueError when m/omega is so small (below about 1e-8) that
+    lambda rounds to exactly 1, where the ladder factors are undefined.
+    """
     if not (m > 0.0 and omega > 0.0):
         raise ValueError("m and omega must be positive")
-    return 0.5 + 0.5 * math.sqrt(4.0 * m * m / (omega * omega) + 1.0)
+    lam = 0.5 + 0.5 * math.sqrt(4.0 * m * m / (omega * omega) + 1.0)
+    if not lam > 1.0:
+        raise ValueError(
+            f"m/omega = {m / omega:g} is too small: lambda rounds to 1")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -248,55 +259,47 @@ def moment_target(model, n):
 
 
 def _moment_cutoff(model, n, tol, target, weight):
-    lam = model.lam
-    x = (n + lam + 6.0) ** 2
-    for _ in range(60):
-        bound = x ** n * abs(float(np.atleast_1d(weight(model, np.array([x])))[0])) \
-            * (math.sqrt(x) + 1.0)
-        if bound <= 1e-2 * tol * target:
-            return x
-        x *= 1.4
-    return x
+    """First rung x = (n + lam + 6)^2 1.4^j, j < 60, with a negligible tail.
+
+    The tail beyond x is bounded by x^n |W(x)| (sqrt(x) + 1); the rungs are
+    probed eight per weight call, which keeps the z range of one Bessel-K
+    table narrow.  Raises RuntimeError if no rung meets the bound.
+    """
+    ladder = np.cumprod(np.r_[(n + model.lam + 6.0) ** 2, np.full(59, 1.4)])
+    for rungs in np.split(ladder, range(8, ladder.size, 8)):
+        tail = rungs ** n * np.abs(weight(model, rungs)) * (np.sqrt(rungs) + 1.0)
+        met = np.flatnonzero(tail <= 1e-2 * tol * target)
+        if met.size:
+            return float(rungs[met[0]])
+    raise RuntimeError(
+        f"moment n={n}: tail bound not met up to x={ladder[-1]:g}")
 
 
 def _moment_integral(model, n, x_cut, tol, target, weight):
-    """Integral of x^n * weight over (0, x_cut] via x = u^2 and Simpson doubling."""
-    u_max = math.sqrt(x_cut)
+    """Integral of x^n * weight over (0, x_cut] via x = u^2 and Simpson doubling.
 
+    Starts from 256 intervals and doubles at most 6 times, evaluating only
+    the new midpoints.  The integrand 2 u^{2n+1} W(u^2) vanishes at u = 0
+    for both weights, so that sample is 0 rather than a call at x = 0.
+    """
     def integrand(u):
-        vals = np.zeros_like(u)
-        pos = u > 0.0
-        if np.any(pos):
-            up = u[pos]
-            vals[pos] = 2.0 * up ** (2 * n + 1) * weight(model, up * up)
-        return vals
+        return 2.0 * u ** (2 * n + 1) * weight(model, u * u)
 
-    intervals = 256
-    u = np.linspace(0.0, u_max, intervals + 1)
-    f = integrand(u)
-
-    def simpson(f, h):
-        return (h / 3.0) * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2])
-                            + 2.0 * np.sum(f[2:-1:2]))
-
-    value = simpson(f, u_max / intervals)
-    converged = False
+    grid = Grid(0.0, math.sqrt(x_cut), 257)
+    f = np.zeros(grid.count)
+    f[1:] = integrand(grid.points()[1:])
+    value = quadrature(GridFunction(grid, f)).real
     for _ in range(6):
-        mids = 0.5 * (u[:-1] + u[1:])
-        f_mid = integrand(mids)
-        intervals *= 2
-        u_new = np.empty(intervals + 1)
-        f_new = np.empty(intervals + 1)
-        u_new[0::2], u_new[1::2] = u, mids
-        f_new[0::2], f_new[1::2] = f, f_mid
-        u, f = u_new, f_new
-        new_value = simpson(f, u_max / intervals)
+        grid = Grid(0.0, grid.x_max, 2 * grid.count - 1)
+        fine = np.empty(grid.count)
+        fine[0::2] = f
+        fine[1::2] = integrand(grid.points()[1::2])
+        f = fine
+        new_value = quadrature(GridFunction(grid, f)).real
         if abs(new_value - value) <= 0.1 * tol * target:
-            value = new_value
-            converged = True
-            break
+            return new_value, True
         value = new_value
-    return value, converged
+    return value, False
 
 
 def verify_measure_moments(model, n_max=10, tol=1e-6, weight=None):

@@ -63,6 +63,11 @@ class TestSpectrumCommand:
         assert code == 2
         assert "m and omega must be positive" in err
 
+    def test_lambda_rounding_to_one_rejected(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--model", "pt", "--m", "1e-9")
+        assert code == 2
+        assert "m/omega = 1e-09 is too small" in err
+
 
 class TestStateCommand:
     def test_linear_vacuum(self, capsys):

@@ -88,6 +88,13 @@ class TestBesselK:
         with pytest.raises(ValueError):
             bessel_k_many(-1.0, [1.0])
 
+    def test_subnormal_z_rejected(self):
+        # 46 / z overflows, so the integration cutoff would be infinite
+        with pytest.raises(ValueError, match=r"z=1e-310 is too small"):
+            bessel_k_many(0.5, [1e-310, 1.0])
+        assert bessel_k_many(0.5, [1e-300])[0] == pytest.approx(
+            math.sqrt(math.pi / 2e-300), rel=1e-12)
+
     @pytest.mark.parametrize("z", [20.0, 25.0, 30.0, 40.0])
     @pytest.mark.parametrize("nu", [0.5, 1.5, 6.0, 20.0])
     def test_single_point_large_z(self, nu, z):
@@ -190,13 +197,24 @@ class TestTridiagonalEigen:
             assert below <= j
             assert above >= j + 1
 
-    def test_bracket_expansion_that_gives_up_raises(self):
-        # the hint sits where float spacing (6e-5) swallows the first
-        # expansion steps, so 60 doublings never reach the eigenvalue 0
+    def test_bracket_hint_that_misses_falls_back_to_gershgorin(self):
+        # the hint sits far from the eigenvalue 0, where float spacing (6e-5)
+        # exceeds the hint's width; the solver restarts from [g_lo, g_hi]
         m = TridiagonalMatrix([0.0, 1e12], [0.0])
-        with pytest.raises(RuntimeError, match=r"levels \[0\]"):
-            tridiag_smallest_eigenvalues(
-                m, 1, brackets=([5e11], [5e11 + 1e-10]))
+        eig = tridiag_smallest_eigenvalues(
+            m, 1, tol=1e-10, brackets=([5e11], [5e11 + 1e-10]))
+        assert abs(eig[0]) <= 1e-10
+
+    def test_partly_missed_hints_give_unhinted_eigenvalues(self):
+        n = 60
+        m = TridiagonalMatrix(np.arange(n, dtype=float), np.full(n - 1, 0.3))
+        plain = tridiag_smallest_eigenvalues(m, 5)
+        lo = plain - 1e-3
+        hi = plain + 1e-3
+        lo[[1, 3]] += 0.5  # these two hints miss their eigenvalue
+        hi[[1, 3]] += 0.5
+        hinted = tridiag_smallest_eigenvalues(m, 5, brackets=(lo, hi))
+        np.testing.assert_allclose(hinted, plain, rtol=0.0, atol=1e-10)
 
     def test_count_validation(self):
         m = TridiagonalMatrix([1.0, 2.0], [0.5])

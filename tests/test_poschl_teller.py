@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer, gammaln
 
 from kgcoherent import poschl_teller as pt
@@ -34,8 +35,15 @@ class TestLambdaAndSpectrum:
         assert lambda_of(2.0, 1.0) == pytest.approx(2.5615528128088303, rel=1e-14)
 
     def test_lambda_light_mass_limit(self):
-        assert lambda_of(1e-9, 1.0) == pytest.approx(1.0, abs=1e-9)
-        assert lambda_of(1e-9, 1.0) >= 1.0
+        assert lambda_of(1e-7, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert lambda_of(1e-7, 1.0) > 1.0
+
+    def test_lambda_rounding_to_one_rejected(self):
+        # 4 m^2/omega^2 = 4e-18 is lost against 1, so lambda == 1.0 exactly
+        with pytest.raises(ValueError, match=r"m/omega = 1e-09 is too small"):
+            lambda_of(1e-9, 1.0)
+        with pytest.raises(ValueError, match=r"m/omega"):
+            PTModel(1e-9, 1.0)
 
     def test_ground_energy(self):
         assert PTModel(1, 1).energy(0) == pytest.approx(GOLDEN, rel=1e-15)
@@ -242,6 +250,16 @@ class TestEvolution:
     def test_phase_coherence_sample(self):
         assert phase_coherence_check(PTModel(1, 1), 1 + 0.5j, 60, 0.7) <= 1e-12
 
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.floats(0.05, 5.0), omega=st.floats(0.2, 5.0),
+           radius=st.floats(0.0, 3.0), angle=st.floats(-math.pi, math.pi),
+           t=st.floats(0.0, 12.0))
+    def test_phase_coherence_property(self, m, omega, radius, angle, t):
+        # label rotation: evolving psi_alpha equals psi_{alpha e^{-i omega t}}
+        # up to the global phase e^{-i omega lam t}
+        alpha = cmath.rect(radius, angle)
+        assert phase_coherence_check(PTModel(m, omega), alpha, 60, t) <= 1e-12
+
     def test_phase_coherence_lattice(self):
         m = PTModel(1, 1)
         worst = max(phase_coherence_check(m, alpha, 60, t)
@@ -305,6 +323,72 @@ class TestMeasure:
         # nu = 2 lambda - 1 = 120: K_nu(2 sqrt(x)) overflows double precision
         with pytest.raises(OverflowError, match=r"overflows.*nu=1\d\d.*z=1.41"):
             measure_weight(PTModel(60, 1), [0.5, 2.0])
+
+    @pytest.mark.parametrize("weight", [measure_weight, g_weight])
+    @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5),
+                                         (1.3, 0.7)])
+    def test_cutoff_matches_one_probe_ladder(self, m, omega, weight):
+        def ladder_cutoff(model, n, tol, target):
+            # reference: the ladder probed one rung per weight call
+            x = (n + model.lam + 6.0) ** 2
+            for _ in range(60):
+                w = abs(float(np.atleast_1d(weight(model, np.array([x])))[0]))
+                if x ** n * w * (math.sqrt(x) + 1.0) <= 1e-2 * tol * target:
+                    return x
+                x *= 1.4
+            raise AssertionError("reference ladder exhausted")
+
+        model = PTModel(m, omega)
+        for n in range(11):
+            target = pt.moment_target(model, n)
+            assert pt._moment_cutoff(model, n, 1e-6, target, weight) == \
+                ladder_cutoff(model, n, 1e-6, target)
+
+    @pytest.mark.parametrize("weight", [measure_weight, g_weight])
+    def test_integral_matches_interleaved_simpson(self, weight):
+        def interleaved(model, n, x_cut, tol, target):
+            # reference: interleave u and midpoints, Simpson sum written out
+            def f_of(u):
+                return 2.0 * u ** (2 * n + 1) * weight(model, u * u)
+
+            def simpson(u, f):
+                return ((u[1] - u[0]) / 3.0) * (
+                    f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2]))
+
+            u = np.linspace(0.0, math.sqrt(x_cut), 257)
+            f = np.r_[0.0, f_of(u[1:])]
+            value = simpson(u, f)
+            for _ in range(6):
+                mids = 0.5 * (u[:-1] + u[1:])
+                u = np.insert(u, np.arange(1, u.size), mids)
+                f = np.insert(f, np.arange(1, f.size), f_of(mids))
+                new = simpson(u, f)
+                if abs(new - value) <= 0.1 * tol * target:
+                    return new, True
+                value = new
+            return value, False
+
+        model = PTModel(1.3, 0.7)
+        for n in (0, 3, 10):
+            target = pt.moment_target(model, n)
+            x_cut = pt._moment_cutoff(model, n, 1e-6, target, weight)
+            got, got_converged = pt._moment_integral(
+                model, n, x_cut, 1e-6, target, weight)
+            want, want_converged = interleaved(model, n, x_cut, 1e-6, target)
+            # same samples up to rounding of the nodes, summed in another order
+            assert got == pytest.approx(want, rel=0.0, abs=1e-14 * target)
+            assert got_converged == want_converged
+
+    def test_cutoff_unmet_raises(self):
+        # a weight that never decays has no finite cutoff
+        def flat(model, x):
+            return np.ones_like(x)
+
+        m = PTModel(1, 1)
+        with pytest.raises(RuntimeError, match=r"moment n=2: tail bound not met"):
+            pt._moment_cutoff(m, 2, 1e-6, pt.moment_target(m, 2), flat)
+        with pytest.raises(RuntimeError, match=r"n=0"):
+            verify_measure_moments(m, 0, weight=flat)
 
     def test_verifier_validation(self):
         with pytest.raises(ValueError):
