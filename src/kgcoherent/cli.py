@@ -50,9 +50,12 @@ def parse_alpha(text):
     if s.endswith("i"):
         s = s[:-1] + "j"
     try:
-        return complex(s)
+        alpha = complex(s)
     except ValueError:
         raise UsageError(f"cannot parse alpha {text!r}; expected a+bi")
+    if not np.isfinite(alpha):
+        raise UsageError(f"alpha must be finite, got {text!r}")
+    return alpha
 
 
 def load_config(path):

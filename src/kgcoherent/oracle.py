@@ -1,13 +1,15 @@
 """Independent finite-difference spectral solver for H_s.
 
 Discretizes H_s = -(1/2m) d^2/dx^2 + (m + S(x))^2 / (2m) with Dirichlet
-boundaries and extracts the lowest eigenvalues by Sturm bisection.  Used
-to validate every analytic spectrum in the package from a route that
-shares no code with the analytic formulas.
+boundaries by the three-point scheme on increasing nodes and extracts the
+lowest eigenvalues by Sturm bisection.  Poschl-Teller nodes cluster at the
+walls +/-L (the end nodes), so the 1/d^2 singularity converges at second
+order (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 16).  Used
+to validate every analytic spectrum from a route that shares no code with them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +24,7 @@ __all__ = [
     "spectrum_compare",
 ]
 
-PT_WALL_INSET = 1e-4
+REFINE_FACTOR = 2  # fine/coarse interval ratio of spectrum_compare
 
 
 @dataclass(frozen=True)
@@ -33,12 +35,17 @@ class PotentialSpec:
     s: object  # callable x-array -> S(x)
     grid: Grid
     label: str = "custom"
+    warp: object = np.positive  # increasing map of [-1, 1] onto itself
 
     def refined(self, factor=2):
         g = self.grid
-        return PotentialSpec(self.m, self.s, Grid(g.x_min, g.x_max,
-                                                  factor * (g.count - 1) + 1),
-                             self.label)
+        return replace(self, grid=Grid(g.x_min, g.x_max, factor * (g.count - 1) + 1))
+
+    def nodes(self):
+        """Grid centre + half-width * warp(s), s uniform in [-1, 1]."""
+        g = self.grid
+        half = 0.5 * (g.x_max - g.x_min)
+        return (g.x_min + half) + half * self.warp(np.linspace(-1.0, 1.0, g.count))
 
 
 def linear_potential(m=1.0, k=1.0, count=4001, half_width=None):
@@ -49,28 +56,31 @@ def linear_potential(m=1.0, k=1.0, count=4001, half_width=None):
                          Grid(-half_width, half_width, count), "linear")
 
 
-def pt_potential(m=1.0, omega=1.0, count=4001, inset=PT_WALL_INSET, branch=+1):
-    """S(x) = -m +/- m/cos(omega x), walls inset from the cosine singularity."""
-    if branch not in (+1, -1):
-        raise ValueError("branch must be +1 or -1")
-    half = math.pi / (2.0 * omega) - inset
-    return PotentialSpec(m, lambda x: -m + branch * m / np.cos(omega * x),
-                         Grid(-half, half, count), "poschl-teller")
+def pt_potential(m=1.0, omega=1.0, count=4001):
+    """S(x) = -m + m/cos(omega x) on nodes x = L sin(pi s / 2), walls at +/-L."""
+    half = math.pi / (2.0 * omega)
+    return PotentialSpec(m, lambda x: -m + m / np.cos(omega * x),
+                         Grid(-half, half, count), "poschl-teller",
+                         lambda s: np.sin(0.5 * math.pi * s))
 
 
 def build_hamiltonian(spec):
-    """Dirichlet tridiagonal discretization of H_s on the interior points."""
-    g = spec.grid
-    if g.count - 2 < 100:
+    """Dirichlet tridiagonal discretization of H_s on the interior nodes.
+
+    With h = diff(x) and node weights w_j = (h_{j-1/2} + h_{j+1/2}) / 2, a
+    w^{-1/2} similarity keeps it symmetric; uniform h gives 1/(m h^2), -1/(2 m h^2).
+    """
+    if spec.grid.count - 2 < 100:
         raise ValueError("need at least 100 interior points")
-    x = g.points()[1:-1]
-    s = np.asarray(spec.s(x), dtype=float)
+    x = spec.nodes()
+    s = np.asarray(spec.s(x[1:-1]), dtype=float)
     if np.any(~np.isfinite(s)):
         raise ValueError("potential is singular on an interior grid point")
-    h = g.h
+    h = np.diff(x)
+    w = 0.5 * (h[:-1] + h[1:])
     m = spec.m
-    diag = 1.0 / (m * h * h) + (m + s) ** 2 / (2.0 * m)
-    off = np.full(x.size - 1, -1.0 / (2.0 * m * h * h))
+    diag = (1.0 / h[:-1] + 1.0 / h[1:]) / (2.0 * m * w) + (m + s) ** 2 / (2.0 * m)
+    off = -1.0 / (2.0 * m * h[1:-1] * np.sqrt(w[:-1] * w[1:]))
     return TridiagonalMatrix(diag, off)
 
 
@@ -80,7 +90,7 @@ def fd_schrodinger_eigenvalues(spec, count, brackets=None):
                                         brackets=brackets)
 
 
-def spectrum_compare(spec, analytic_energies, n_count, refine_factor=2):
+def spectrum_compare(spec, analytic_energies, n_count):
     """FD spectrum vs analytic E_n at two resolutions.
 
     Converts FD eigenvalues to energies via E = sqrt(2 m epsilon), reports
@@ -96,14 +106,14 @@ def spectrum_compare(spec, analytic_energies, n_count, refine_factor=2):
     # verifies the hint and widens it if the discretization shifted further
     width = np.maximum(1e-3 * np.abs(eps_coarse), 1e-4)
     eps_fine = fd_schrodinger_eigenvalues(
-        spec.refined(refine_factor), n_count,
+        spec.refined(REFINE_FACTOR), n_count,
         brackets=(eps_coarse - width, eps_coarse + width))
     e_coarse = np.sqrt(2.0 * spec.m * eps_coarse)
     e_fine = np.sqrt(2.0 * spec.m * eps_fine)
     err_coarse = np.abs(e_coarse - analytic) / analytic
     err_fine = np.abs(e_fine - analytic) / analytic
     with np.errstate(divide="ignore", invalid="ignore"):
-        orders = np.log(err_coarse / err_fine) / math.log(refine_factor)
+        orders = np.log(err_coarse / err_fine) / math.log(REFINE_FACTOR)
     orders = orders[np.isfinite(orders)]
     order = float(np.median(orders)) if orders.size else float("nan")
     return {

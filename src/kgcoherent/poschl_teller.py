@@ -39,12 +39,15 @@ __all__ = [
 def lambda_of(m, omega):
     """Spectral offset lambda = 1/2 + sqrt(4 m^2/omega^2 + 1)/2 (> 1).
 
-    Raises ValueError when m/omega is so small (below about 1e-8) that
-    lambda rounds to exactly 1, where the ladder factors are undefined.
+    Raises ValueError when 4 m^2/omega^2 is not finite in double precision,
+    or when m/omega is so small (below about 1e-8) that lambda rounds to 1.
     """
     if not (m > 0.0 and omega > 0.0):
         raise ValueError("m and omega must be positive")
-    lam = 0.5 + 0.5 * math.sqrt(4.0 * m * m / (omega * omega) + 1.0)
+    ratio = 4.0 * m * m / (omega * omega) if omega * omega > 0.0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"m = {m:g}, omega = {omega:g}: 4 m^2/omega^2 is not finite")
+    lam = 0.5 + 0.5 * math.sqrt(ratio + 1.0)
     if not lam > 1.0:
         raise ValueError(
             f"m/omega = {m / omega:g} is too small: lambda rounds to 1")
@@ -145,10 +148,6 @@ class PTCoherentState:
     alpha: complex
     coefficients: np.ndarray = field(repr=False)
 
-    @property
-    def truncation(self):
-        return self.coefficients.size - 1
-
 
 def _log_weights(lam, n_max):
     # log of [1 / (n! (n+lam) Gamma(2 lam + n))]^(1/2) without the lam*Gamma(2 lam) factor
@@ -171,6 +170,8 @@ def coherent_coefficients(model, alpha, truncation=60):
     n_idx = np.arange(truncation + 1)
     logw = _log_weights(lam, truncation)
     r = abs(alpha)
+    if not math.isfinite(r):
+        raise ValueError("alpha must be finite")
     if r == 0.0:
         c = np.zeros(truncation + 1, dtype=complex)
         c[0] = 1.0
@@ -182,20 +183,6 @@ def coherent_coefficients(model, alpha, truncation=60):
     c = np.exp(n_idx * math.log(r) + logw - 0.5 * log_s) \
         * np.exp(1j * phase * n_idx)
     return PTCoherentState(model, alpha, c)
-
-
-def recursion_residual(state):
-    """Max relative mismatch between the closed form and the one-step recursion."""
-    c = state.coefficients
-    lam = state.model.lam
-    n = np.arange(c.size - 1)
-    step = complex(state.alpha) * np.sqrt(
-        (n + lam) / ((n + 1.0) * (2.0 * lam + n) * (n + 1.0 + lam)))
-    predicted = step * c[:-1]
-    scale = np.maximum(np.abs(c[1:]), np.abs(predicted))
-    nonzero = scale > 0.0
-    rel = np.abs(c[1:] - predicted)[nonzero] / scale[nonzero]
-    return float(np.max(rel, initial=0.0))
 
 
 def evolve(state, t):

@@ -23,22 +23,20 @@ def _check(name, value, bound, passed=None):
 
 
 def verify_spectra(grid_count=4001, n_count=8):
-    """FD eigensolver vs analytic spectra for both models."""
+    """FD eigensolver vs analytic spectra: linear, PT, and PT with lambda near 1."""
     checks = []
     lin = linear_osc.LinearModel(1.0, 1.0)
-    rep = oracle.spectrum_compare(
-        oracle.linear_potential(lin.m, lin.k, grid_count),
-        lin.energies(n_count - 1), n_count)
-    checks.append(_check("linear_fd_max_rel_error", rep["max_rel_error"], 1e-3))
-    checks.append(_check("linear_fd_convergence_order", rep["convergence_order"],
-                         2.2, passed=1.8 <= rep["convergence_order"] <= 2.2))
     ptm = poschl_teller.PTModel(1.0, 1.0)
-    rep = oracle.spectrum_compare(
-        oracle.pt_potential(ptm.m, ptm.omega, grid_count),
-        ptm.energies(n_count - 1), n_count)
-    checks.append(_check("pt_fd_max_rel_error", rep["max_rel_error"], 1e-3))
-    checks.append(_check("pt_fd_convergence_order", rep["convergence_order"],
-                         2.2, passed=1.8 <= rep["convergence_order"] <= 2.2))
+    ptl = poschl_teller.PTModel(0.5, 2.0)
+    for name, spec, model in (
+            ("linear", oracle.linear_potential(lin.m, lin.k, grid_count), lin),
+            ("pt", oracle.pt_potential(ptm.m, ptm.omega, grid_count), ptm),
+            ("pt_m0.5_omega2", oracle.pt_potential(ptl.m, ptl.omega, grid_count), ptl)):
+        rep = oracle.spectrum_compare(spec, model.energies(n_count - 1), n_count)
+        order = rep["convergence_order"]
+        checks.append(_check(f"{name}_fd_max_rel_error", rep["max_rel_error"], 1e-3))
+        checks.append(_check(f"{name}_fd_convergence_order", order, 2.2,
+                             passed=1.8 <= order <= 2.2))
     # rounded gaps of omega * (n + lam) cannot equal omega exactly for general
     # omega and lam, so the bound is relative, as in acceptance criterion 5
     spacing = np.diff(ptm.energies(60)) - ptm.omega

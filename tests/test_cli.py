@@ -34,6 +34,12 @@ class TestAlphaParsing:
         with pytest.raises(UsageError):
             parse_alpha(text)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1+nani", "infi"])
+    def test_non_finite(self, text):
+        from kgcoherent.cli import UsageError
+        with pytest.raises(UsageError, match="alpha must be finite"):
+            parse_alpha(text)
+
 
 class TestSpectrumCommand:
     def test_linear_levels(self, capsys):
@@ -68,6 +74,15 @@ class TestSpectrumCommand:
         assert code == 2
         assert "m/omega = 1e-09 is too small" in err
 
+    @pytest.mark.parametrize("m,omega", [("1e200", "1e-200"), ("1e200", "1")])
+    def test_extreme_mass_ratio_rejected(self, capsys, m, omega):
+        code, out, err = run(capsys, "spectrum", "--model", "pt",
+                             "--m", m, "--omega", omega)
+        assert code == 2
+        assert out == ""
+        assert f"m = {float(m):g}, omega = {float(omega):g}" in err
+        assert "Traceback" not in err
+
 
 class TestStateCommand:
     def test_linear_vacuum(self, capsys):
@@ -85,6 +100,14 @@ class TestStateCommand:
         rows = json.loads(out)["coefficients"]
         ratio = abs(rows[1]["re"] / rows[0]["re"])
         assert ratio == pytest.approx(0.4370160, abs=1e-6)
+
+    @pytest.mark.parametrize("model", ["pt", "linear"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_rejected(self, capsys, model, alpha):
+        code, out, err = run(capsys, "state", "--model", model, "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert "alpha must be finite" in err
 
     def test_cumulative_norm(self, capsys):
         code, out, _ = run(capsys, "state", "--model", "pt",

@@ -57,6 +57,18 @@ class TestLinearSpectrum:
         assert 1.8 <= rep["convergence_order"] <= 2.2
         assert rep["converged"]
 
+    def test_uniform_entries(self):
+        # identity map: the non-uniform scheme reduces to the textbook matrix
+        m, k = 1.3, 0.8
+        spec = linear_potential(m, k, 2001)
+        mat = build_hamiltonian(spec)
+        h = spec.grid.h
+        x = spec.grid.points()[1:-1]
+        diag = 1.0 / (m * h * h) + (m + k * np.abs(x) - m) ** 2 / (2.0 * m)
+        np.testing.assert_allclose(mat.diag, diag, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(mat.offdiag, -1.0 / (2.0 * m * h * h),
+                                   rtol=1e-12, atol=0.0)
+
     def test_monotone_spectrum(self):
         eigs = fd_schrodinger_eigenvalues(linear_potential(count=1001), 10)
         assert np.all(np.diff(eigs) > 0.0)
@@ -69,22 +81,30 @@ class TestPTSpectrum:
         assert rep["max_rel_error"] <= 1e-3
         assert 1.8 <= rep["convergence_order"] <= 2.2
 
-    def test_sign_branch_insensitive(self):
-        # both branches of S give the same (m + S)^2, hence identical matrices
-        plus = build_hamiltonian(pt_potential(count=1001, branch=+1))
-        minus = build_hamiltonian(pt_potential(count=1001, branch=-1))
-        assert np.max(np.abs(plus.diag - minus.diag)) <= 1e-14 * np.max(np.abs(plus.diag))
-        assert np.array_equal(plus.offdiag, minus.offdiag)
+    # lambda from 1.02 to 4.53: u ~ d^lambda at a wall, which uniform nodes
+    # resolve only at order min(2, 2 lambda - 1)
+    @pytest.mark.parametrize("m,omega", [(1, 1), (1, 1.5), (0.5, 2), (0.3, 2),
+                                         (0.7, 1), (2, 0.5)])
+    def test_second_order_across_lambda(self, m, omega):
+        rep = spectrum_compare(pt_potential(m, omega, 2001),
+                               PTModel(m, omega).energies(7), 8)
+        assert 1.9 <= rep["convergence_order"] <= 2.1
+        assert rep["max_rel_error"] <= 1e-5
+
+    def test_walls_are_end_nodes(self):
+        spec = pt_potential(0.5, 2.0, 1001)
+        x = spec.nodes()
+        assert x[0] == -math.pi / 4.0 and x[-1] == math.pi / 4.0
+        assert np.all(np.diff(x) > 0.0)
+        # the nodes cluster at the walls: end widths ~ (pi/2)^2 h^2 / (2 L)
+        assert np.diff(x)[0] < 1e-2 * np.diff(x)[500]
+        assert np.all(np.isfinite(spec.s(x[1:-1])))
 
     def test_wrong_lambda_flagged(self):
         model = PTModel(1, 1)
         wrong = model.omega * (np.arange(8) + model.lam + 0.1)
         rep = spectrum_compare(pt_potential(count=2001), wrong, 8)
         assert rep["max_rel_error"] > 1e-3 or not rep["converged"]
-
-    def test_branch_validation(self):
-        with pytest.raises(ValueError):
-            pt_potential(branch=0)
 
 
 class TestCompareValidation:
