@@ -10,7 +10,10 @@ Sturm-multisection eigensolver for symmetric tridiagonal matrices.
 The eigensolver's cost is its Sturm counts.  sturm_count runs the pivot
 recurrence for all shifts at once, a block of rows at a time, so a pass
 costs about one Python-level step (two small ufunc calls) per matrix row,
-nearly independent of the number of shifts up to a few hundred.
+nearly independent of the number of shifts up to a few hundred.  A
+mirror-symmetric (persymmetric) matrix, such as the FD Hamiltonian of an
+even potential, is folded into its even and odd sectors, which share every
+pivot but the last, so a pass steps only about n/2 rows.
 """
 
 import math
@@ -230,6 +233,7 @@ def quadrature(f):
 
 _PIVMIN = 1e-290
 _BLOCK_CELLS = 1 << 15  # pivots held per block: 2^15 float64 cells, 256 KB
+_PROBES = 16  # interior probes per bracket and multisection round
 
 
 def _pivot_rows(off2, piv, rows, guard):
@@ -257,20 +261,34 @@ def sturm_count(matrix, x):
     the counts equal those of the guarded recurrence bit for bit.  The cost
     is one Python-level step per row plus a few whole-block numpy calls per
     block, and memory stays at one block, whatever the matrix dimension.
+
+    A matrix equal to its own mirror image (diag and offdiag palindromes,
+    tested exactly) is orthogonally similar to the direct sum of an even and
+    an odd sector that share the leading r = (n - 1) // 2 rows, so the
+    recurrence runs over those rows only, about n/2 row steps per pass, and
+    the count is twice theirs plus the sectors' last pivots.  For n = 2r + 1
+    the even sector adds one, (a_r - x) - 2 b_{r-1}^2 / d_{r-1}; for
+    n = 2r + 2 the sectors end in rows with diagonals a_r + b_r and
+    a_r - b_r.  Those pivots count under the same guard.  The folded and
+    full recurrences round differently, so at a shift on an eigenvalue
+    their counts may differ.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diag = matrix.diag
+    off = matrix.offdiag
     n = diag.size
+    folded = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+    steps = (n - 1) // 2 if folded else n
     # off2[i] couples rows i-1 and i; a zero coupling to a unit pivot makes
     # row 0 the same update as every other row.
-    off2 = [0.0] + (matrix.offdiag ** 2).tolist()
-    block_rows = max(1, min(n, _BLOCK_CELLS // x.size))
+    off2 = [0.0] + (off ** 2).tolist()
+    block_rows = max(1, min(steps, _BLOCK_CELLS // x.size))
     piv = np.empty((block_rows + 1, x.size))
     piv[0] = 1.0
     count = np.zeros(x.size, dtype=np.int64)
     with np.errstate(all="ignore"):
-        for start in range(0, n, block_rows):
-            stop = min(start + block_rows, n)
+        for start in range(0, steps, block_rows):
+            stop = min(start + block_rows, steps)
             rows = piv[1:stop - start + 1]
             np.subtract(diag[start:stop, None], x, out=rows)
             _pivot_rows(off2[start:stop], piv, rows, guard=False)
@@ -279,7 +297,27 @@ def sturm_count(matrix, x):
                 _pivot_rows(off2[start:stop], piv, rows, guard=True)
             count += np.count_nonzero(rows < 0.0, axis=0)
             piv[0] = rows[-1]
-    return count
+        if not folded:
+            return count
+        if n % 2:
+            centre, e = [[diag[steps]]], 2.0 * off2[steps]
+        else:
+            a, b = diag[steps], off[steps]
+            centre, e = [[a + b], [a - b]], off2[steps]
+        last = np.subtract(centre, x) - e / piv[0]
+        # a pivot below _PIVMIN in magnitude counts as negative
+        return 2 * count + np.count_nonzero(last < _PIVMIN, axis=0)
+
+
+def _max_rounds(width, tol):
+    # Every round keeps one of _PROBES + 1 equal parts of each bracket, so
+    # ceil(log_{_PROBES+1}(width / tol)) rounds reach tol; two more absorb
+    # the rounding of the probes.
+    if not math.isfinite(width):
+        raise OverflowError("tridiag_smallest_eigenvalues: the Gershgorin "
+                            "bracket overflows double precision")
+    shrink = math.log(max(width, tol)) - math.log(tol)
+    return 2 + math.ceil(shrink / math.log(_PROBES + 1))
 
 
 def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
@@ -289,7 +327,10 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
     Sturm pass, shrinking brackets 17x per round.  A pass costs one step per
     matrix row whatever the number of shifts (see sturm_count), so fewer
     rounds with more probes beats one-point bisection.  Brackets are
-    narrowed to width <= tol (or until no longer representable).
+    narrowed to width <= tol (or until no float lies strictly inside), in
+    at most the rounds that shrink the widest starting bracket to tol; a
+    bracket still open after them raises RuntimeError naming its level and
+    width.  tol must be positive.
 
     `brackets`, if given, is a (lo, hi) pair of per-eigenvalue starting
     intervals (e.g. from a coarser discretization).  One Sturm pass checks
@@ -300,6 +341,8 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
     n = matrix.dim
     if not (1 <= count <= n):
         raise ValueError("count must be in [1, matrix dimension]")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     radius = np.zeros(n)
     radius[:-1] += np.abs(matrix.offdiag)
     radius[1:] += np.abs(matrix.offdiag)
@@ -319,9 +362,10 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
         miss = (c[:count] >= want) | (c[count:] < want)
         lo[miss] = g_lo
         hi[miss] = g_hi
-    frac = np.linspace(0.0, 1.0, 18)[1:-1]
+    frac = np.linspace(0.0, 1.0, _PROBES + 2)[1:-1]
     rows = np.arange(count)
-    for _ in range(60):
+    rounds = _max_rounds(float(np.max(hi - lo)), tol)
+    for _ in range(rounds):
         probes = lo[:, None] + (hi - lo)[:, None] * frac
         c = sturm_count(matrix, probes.ravel()).reshape(count, frac.size)
         above = c >= want[:, None]
@@ -334,4 +378,11 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
         lo, hi = lo_new, hi_new
         if np.all(hi - lo <= tol) or stalled:
             break
+    # a bracket wider than tol must at least have no float strictly inside
+    unsettled = np.flatnonzero((hi - lo > tol) & (np.nextafter(lo, np.inf) < hi))
+    if unsettled.size:
+        raise RuntimeError(
+            f"tridiag_smallest_eigenvalues: levels {unsettled.tolist()} not "
+            f"narrowed to tol={tol:g} in {rounds} rounds; final bracket "
+            f"widths {(hi - lo)[unsettled].tolist()}")
     return 0.5 * (lo + hi)

@@ -6,6 +6,12 @@ lowest eigenvalues by Sturm bisection.  Poschl-Teller nodes cluster at the
 walls +/-L (the end nodes), so the 1/d^2 singularity converges at second
 order (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 16).  Used
 to validate every analytic spectrum from a route that shares no code with them.
+
+The node map (PotentialSpec.warp) must be odd, and the uniform parameter s
+is made exactly odd, so on a grid centred at 0 the nodes are exact mirror
+images.  Then an even potential, as both of the paper's are, gives a
+mirror-symmetric matrix, whose Sturm counts numerics.sturm_count folds to
+about half the rows; the fold reads only the matrix, never a closed form.
 """
 
 import math
@@ -35,17 +41,23 @@ class PotentialSpec:
     s: object  # callable x-array -> S(x)
     grid: Grid
     label: str = "custom"
-    warp: object = np.positive  # increasing map of [-1, 1] onto itself
+    warp: object = np.positive  # odd, increasing map of [-1, 1] onto itself
 
     def refined(self, factor=2):
         g = self.grid
         return replace(self, grid=Grid(g.x_min, g.x_max, factor * (g.count - 1) + 1))
 
     def nodes(self):
-        """Grid centre + half-width * warp(s), s uniform in [-1, 1]."""
+        """Grid centre + half-width * warp(s), s uniform in [-1, 1].
+
+        s is antisymmetrized, which linspace alone is not to the last bit, so
+        an odd warp on a grid centred at 0 gives nodes with x == -x[::-1]
+        exactly and an even potential a mirror-symmetric Hamiltonian.
+        """
         g = self.grid
         half = 0.5 * (g.x_max - g.x_min)
-        return (g.x_min + half) + half * self.warp(np.linspace(-1.0, 1.0, g.count))
+        s = np.linspace(-1.0, 1.0, g.count)
+        return (g.x_min + half) + half * self.warp(0.5 * (s - s[::-1]))
 
 
 def linear_potential(m=1.0, k=1.0, count=4001, half_width=None):

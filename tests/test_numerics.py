@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import kv
 
 from kgcoherent import numerics
+from kgcoherent.oracle import build_hamiltonian, pt_potential
 from kgcoherent.numerics import (
     _BLOCK_CELLS,
     _PIVMIN,
@@ -220,6 +221,31 @@ class TestTridiagonalEigen:
         m = TridiagonalMatrix([1.0, 2.0], [0.5])
         with pytest.raises(ValueError):
             tridiag_smallest_eigenvalues(m, 3)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            tridiag_smallest_eigenvalues(m, 1, tol=0.0)
+
+    # Gershgorin brackets of width 1e200 and 1e100 need over 60 rounds of 17x
+    @pytest.mark.parametrize("diag,want", [([0.0, 1e200], [0.0]),
+                                           ([0.0, 1e100, 3.0], [0.0, 3.0])])
+    def test_wide_bracket_converges(self, diag, want):
+        m = TridiagonalMatrix(diag, np.zeros(len(diag) - 1))
+        eigs = tridiag_smallest_eigenvalues(m, len(want))
+        np.testing.assert_allclose(eigs, want, rtol=0.0, atol=1e-10)
+
+    def test_overflowing_gershgorin_bracket_raises(self):
+        m = TridiagonalMatrix([1e308, -1e308], [1e308])
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowError, match="Gershgorin bracket overflows"):
+            tridiag_smallest_eigenvalues(m, 1)
+
+    def test_open_bracket_raises(self, monkeypatch):
+        # too few rounds must be reported, not answered with a midpoint
+        monkeypatch.setattr(numerics, "_max_rounds", lambda width, tol: 3)
+        m = TridiagonalMatrix([0.0, 1e100, 3.0], [0.0, 0.0])
+        with pytest.raises(RuntimeError,
+                           match=r"levels \[0, 1\] not narrowed to tol=1e-10 "
+                                 r"in 3 rounds; final bracket widths \[2\.03"):
+            tridiag_smallest_eigenvalues(m, 2)
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -228,30 +254,64 @@ class TestTridiagonalEigen:
             TridiagonalMatrix([1.0, float("nan")], [0.5])
 
 
+def _guard(d):
+    return np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
+
+
 def guarded_sturm_count(matrix, x):
     """Reference: the guarded pivot recurrence, one row at a time."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diag = matrix.diag
     off2 = matrix.offdiag ** 2
-    d = diag[0] - x
-    d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
+    d = _guard(diag[0] - x)
     count = (d < 0.0).astype(np.int64)
     for i in range(1, diag.size):
-        d = diag[i] - x - off2[i - 1] / d
-        d = np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
+        d = _guard(diag[i] - x - off2[i - 1] / d)
         count += d < 0.0
     return count
+
+
+def folded_sturm_count(matrix, x):
+    """Reference for a mirror-symmetric matrix, one row at a time: the
+    guarded recurrence over the r = (n - 1) // 2 rows the even and odd
+    sectors share, counted twice, plus each sector's guarded last pivot."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    diag, off = matrix.diag, matrix.offdiag
+    n = diag.size
+    r = (n - 1) // 2
+    d = np.ones_like(x)
+    count = np.zeros(x.size, dtype=np.int64)
+    for i in range(r):
+        d = _guard(diag[i] - x - (off[i - 1] ** 2 / d if i else 0.0))
+        count += d < 0.0
+    e = off[r - 1] ** 2 if r else 0.0
+    if n % 2:  # even sector's centre row: coupling sqrt(2) b_{r-1}
+        last = [diag[r] - x - 2.0 * e / d]
+    else:  # last rows of the even and odd sectors
+        last = [(diag[r] + off[r]) - x - e / d, (diag[r] - off[r]) - x - e / d]
+    return 2 * count + sum((_guard(p) < 0.0).astype(np.int64) for p in last)
+
+
+def is_mirror_symmetric(matrix):
+    return (np.array_equal(matrix.diag, matrix.diag[::-1])
+            and np.array_equal(matrix.offdiag, matrix.offdiag[::-1]))
 
 
 @st.composite
 def small_integer_tridiagonals(draw):
     """Integer-valued entries and half-integer shifts: shifts land on
     diagonal entries and couplings vanish, so pivots hit exact zero and
-    0/0.  The shift counts give one block of the whole matrix, blocks of
-    a few rows, and one row per block."""
+    0/0.  Half the draws mirror their first half, so the count folds.  The
+    shift counts give one block of the whole matrix, blocks of a few rows,
+    and one row per block."""
     n = draw(st.integers(1, 40))
-    diag = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
-    off = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    mirrored = draw(st.booleans())
+    n_diag, n_off = ((n + 1) // 2, n // 2) if mirrored else (n, n - 1)
+    diag = draw(st.lists(st.integers(-4, 4), min_size=n_diag, max_size=n_diag))
+    off = draw(st.lists(st.integers(-2, 2), min_size=n_off, max_size=n_off))
+    if mirrored:
+        diag += diag[:n // 2][::-1]
+        off += off[:(n - 1) // 2][::-1]
     values = draw(st.lists(st.integers(-16, 16), min_size=1, max_size=8))
     size = draw(st.sampled_from([1, 3, _BLOCK_CELLS // 5, _BLOCK_CELLS + 5]))
     shifts = np.resize(np.asarray(values, dtype=float) / 2.0, size)
@@ -262,10 +322,42 @@ class TestSturmCount:
     @settings(deadline=None)
     @given(small_integer_tridiagonals())
     def test_matches_guarded_recurrence(self, case):
+        # a mirror-symmetric matrix is folded, and the fold rounds
+        # differently from the full recurrence, so each path is held bit
+        # for bit to its own row-by-row reference
         matrix, shifts = case
         got = sturm_count(matrix, shifts)
         assert got.dtype == np.int64
-        assert np.array_equal(got, guarded_sturm_count(matrix, shifts))
+        reference = (folded_sturm_count if is_mirror_symmetric(matrix)
+                     else guarded_sturm_count)
+        assert np.array_equal(got, reference(matrix, shifts))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 40, 61, 200])
+    def test_fold_matches_eigvalsh_counts(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            half = rng.normal(size=(n + 1) // 2)
+            diag = np.concatenate([half, half[:n // 2][::-1]])
+            half = rng.normal(size=n // 2)
+            off = np.concatenate([half, half[:(n - 1) // 2][::-1]])
+            matrix = TridiagonalMatrix(diag, off)
+            assert is_mirror_symmetric(matrix)
+            eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                      + np.diag(off, -1))
+            shifts = rng.uniform(eigs[0] - 1.0, eigs[-1] + 1.0, size=64)
+            gap = np.abs(shifts[:, None] - eigs).min(axis=1)
+            shifts = shifts[gap >= 1e-6]
+            want = np.searchsorted(eigs, shifts)  # eigenvalues below each shift
+            assert np.array_equal(sturm_count(matrix, shifts), want)
+
+    def test_fold_on_oracle_matrix(self, monkeypatch):
+        # the oracle's PT matrix folds; the solve must match the unfolded one
+        matrix = build_hamiltonian(pt_potential(count=2001))
+        assert is_mirror_symmetric(matrix)
+        folded = tridiag_smallest_eigenvalues(matrix, 8)
+        monkeypatch.setattr(numerics, "sturm_count", guarded_sturm_count)
+        unfolded = tridiag_smallest_eigenvalues(matrix, 8)
+        np.testing.assert_allclose(folded, unfolded, rtol=0.0, atol=1e-10)
 
     @settings(deadline=None)
     @given(small_integer_tridiagonals())

@@ -42,6 +42,22 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(spec)
 
+    # both potentials are even: on mirror-image nodes the matrix is exactly
+    # mirror-symmetric, so numerics.sturm_count folds it
+    @pytest.mark.parametrize("count", [2001, 2000])
+    @pytest.mark.parametrize("spec_of", [
+        lambda count: pt_potential(0.7, 1.3, count),
+        lambda count: linear_potential(1.3, 0.8, count),
+    ], ids=["pt", "linear"])
+    def test_mirror_symmetric(self, spec_of, count):
+        spec = spec_of(count)
+        x = spec.nodes()
+        assert np.array_equal(x, -x[::-1])
+        mat = build_hamiltonian(spec)
+        assert mat.dim == count - 2
+        assert np.array_equal(mat.diag, mat.diag[::-1])
+        assert np.array_equal(mat.offdiag, mat.offdiag[::-1])
+
 
 class TestLinearSpectrum:
     def test_levels_match(self):
@@ -88,6 +104,12 @@ class TestPTSpectrum:
     def test_second_order_across_lambda(self, m, omega):
         rep = spectrum_compare(pt_potential(m, omega, 2001),
                                PTModel(m, omega).energies(7), 8)
+        assert 1.9 <= rep["convergence_order"] <= 2.1
+        assert rep["max_rel_error"] <= 1e-5
+
+    def test_second_order_at_even_point_count(self):
+        # 1998 interior rows: the fold ends in the two middle rows
+        rep = spectrum_compare(pt_potential(count=2000), PTModel(1, 1).energies(7), 8)
         assert 1.9 <= rep["convergence_order"] <= 2.1
         assert rep["max_rel_error"] <= 1e-5
 
