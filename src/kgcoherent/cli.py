@@ -263,6 +263,7 @@ def cmd_oracle(args, config):
         "passed": bool(ok),
         "max_rel_error": rep["max_rel_error"],
         "convergence_order": rep["convergence_order"],
+        "sturm_passes": rep["sturm_passes"],
         "levels": [{"n": i, "fd": float(rep["energies_fd"][i]),
                     "analytic": float(rep["energies_analytic"][i]),
                     "rel_error": float(rep["rel_errors"][i])}

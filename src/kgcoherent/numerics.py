@@ -14,6 +14,19 @@ nearly independent of the number of shifts up to a few hundred.  A
 mirror-symmetric (persymmetric) matrix, such as the FD Hamiltonian of an
 even potential, is folded into its even and odd sectors, which share every
 pivot but the last, so a pass steps only about n/2 rows.
+
+So the eigensolver saves passes, not shifts.  Levels that share a bracket
+share its probes; the first pass places a geometric ladder about 0 over
+the whole Gershgorin bracket; and once a bracket isolates one eigenvalue,
+half its probes step out from a regula-falsi point on log|det(T - x)|,
+which sturm_count sums from the pivots it already holds.  The other half
+stay uniform, so every later pass shrinks every bracket at least 9x, and
+only Sturm counts ever move a bracket: the regula-falsi point is a place to
+look, never an answer, and the result is the midpoint of a bracket of
+width at most tol, as with plain multisection.  Floating-point Sturm
+counts from the guarded recurrence are monotone in the shift in practice
+(Demmel, Dhillon & Ren 1995), and a bracket update that reads only the
+first probe at or past its level stays valid where they are not.
 """
 
 import math
@@ -233,7 +246,7 @@ def quadrature(f):
 
 _PIVMIN = 1e-290
 _BLOCK_CELLS = 1 << 15  # pivots held per block: 2^15 float64 cells, 256 KB
-_PROBES = 16  # interior probes per bracket and multisection round
+_PROBES = 16  # fewest shifts per bracket and pass; a pass holds _PROBES per level
 
 
 def _pivot_rows(off2, piv, rows, guard):
@@ -247,7 +260,7 @@ def _pivot_rows(off2, piv, rows, guard):
             row[np.abs(row) < _PIVMIN] = -_PIVMIN
 
 
-def sturm_count(matrix, x):
+def sturm_count(matrix, x, logdet=None):
     """Number of eigenvalues of `matrix` strictly below each shift in x.
 
     Counts the negative pivots of the LDL^T factorization of T - x,
@@ -272,8 +285,25 @@ def sturm_count(matrix, x):
     a_r - b_r.  Those pivots count under the same guard.  The folded and
     full recurrences round differently, so at a shift on an eigenvalue
     their counts may differ.
+
+    `logdet`, if given, is an output-only float array shaped like x that
+    receives log|det(T - x)|, the sum of log|d_i| over the guarded pivots
+    (2 L_shared + log|last pivots| for a folded matrix).  It is taken once
+    per block, in place, after the block is counted, so it adds no row
+    steps.  Its value is only as good as the pivots: where they cancel it
+    may be off by far more than a rounding, so use it as a hint, never to
+    decide a count.  Non-finite shifts raise ValueError; an empty x gives
+    an empty count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"sturm_count: shifts must be finite, got "
+                         f"{x[bad].tolist()}")
+    if logdet is not None:
+        logdet[...] = 0.0
+    if x.size == 0:
+        return np.zeros(0, dtype=np.int64)
     diag = matrix.diag
     off = matrix.offdiag
     n = diag.size
@@ -297,6 +327,10 @@ def sturm_count(matrix, x):
                 _pivot_rows(off2[start:stop], piv, rows, guard=True)
             count += np.count_nonzero(rows < 0.0, axis=0)
             piv[0] = rows[-1]
+            if logdet is not None:
+                np.abs(rows, rows)
+                np.log(rows, rows)
+                logdet += rows.sum(axis=0)
         if not folded:
             return count
         if n % 2:
@@ -305,38 +339,78 @@ def sturm_count(matrix, x):
             a, b = diag[steps], off[steps]
             centre, e = [[a + b], [a - b]], off2[steps]
         last = np.subtract(centre, x) - e / piv[0]
+        if logdet is not None:
+            logdet *= 2.0
+            logdet += np.log(np.maximum(np.abs(last), _PIVMIN)).sum(axis=0)
         # a pivot below _PIVMIN in magnitude counts as negative
         return 2 * count + np.count_nonzero(last < _PIVMIN, axis=0)
 
 
 def _max_rounds(width, tol):
-    # Every round keeps one of _PROBES + 1 equal parts of each bracket, so
-    # ceil(log_{_PROBES+1}(width / tol)) rounds reach tol; two more absorb
-    # the rounding of the probes.
+    # The first pass shrinks nothing for sure.  Every later pass cuts each
+    # bracket into _PROBES // 2 + 1 equal parts by its uniform probes and
+    # keeps at most one, so ceil(log_9(width / tol)) passes reach tol; two
+    # more absorb the rounding of the probes.
     if not math.isfinite(width):
         raise OverflowError("tridiag_smallest_eigenvalues: the Gershgorin "
                             "bracket overflows double precision")
     shrink = math.log(max(width, tol)) - math.log(tol)
-    return 2 + math.ceil(shrink / math.log(_PROBES + 1))
+    return 3 + math.ceil(shrink / math.log(_PROBES // 2 + 1))
 
 
-def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
+def _ladder(centre, lo, hi, near, k):
+    # k shifts per bracket in (lo, hi) whose distances from `centre` step
+    # by one ratio, from `near` (or the bracket's nearest point) out to the
+    # bracket's ends.  The two sides of the centre share the k rungs in
+    # proportion to the decades they span.
+    near_l = np.maximum(centre - hi, near)
+    near_r = np.maximum(lo - centre, near)
+    span_l = np.log(np.maximum(centre - lo, near_l) / near_l)
+    span_r = np.log(np.maximum(hi - centre, near_r) / near_r)
+    t = (span_l + span_r)[:, None] * ((np.arange(k) + 0.5) / k)
+    span_l, centre = span_l[:, None], centre[:, None]
+    return np.where(t < span_l, centre - near_l[:, None] * np.exp(span_l - t),
+                    centre + near_r[:, None] * np.exp(t - span_l))
+
+
+def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
+                                 stats=None):
     """The `count` smallest eigenvalues, ascending, by Sturm multisection.
 
-    Each round probes 16 interior points of every bracket in one vectorized
-    Sturm pass, shrinking brackets 17x per round.  A pass costs one step per
-    matrix row whatever the number of shifts (see sturm_count), so fewer
-    rounds with more probes beats one-point bisection.  Brackets are
-    narrowed to width <= tol (or until no float lies strictly inside), in
-    at most the rounds that shrink the widest starting bracket to tol; a
-    bracket still open after them raises RuntimeError naming its level and
-    width.  tol must be positive.
+    Level j's bracket (lo, hi) always has fewer than j eigenvalues below lo
+    and at least j below or at hi, and only Sturm counts move it.  A pass is
+    one vectorized sturm_count over all probes of all open brackets; levels
+    whose brackets coincide share their probes, and a pass holds
+    _PROBES * count shifts spread over the distinct brackets, at least
+    _PROBES each, since a pass costs one step per matrix row almost
+    whatever the number of shifts (see sturm_count).  After a pass every
+    level takes the tightest bracket its probes give.
+
+    - The first pass puts a bracket's probes on a geometric ladder about 0
+      (|x| from tol/2 to the bracket's ends), which finds eigenvalues of
+      any scale within a large Gershgorin bracket in one pass.
+    - Every later pass puts half of a bracket's probes uniformly inside it,
+      so each pass shrinks each bracket at least 9x, and the other half on
+      a ladder: about 0 again, unless the bracket isolates its level
+      (count(lo) = j - 1, count(hi) = j) with finite L = log|det(T - x)| at
+      both ends.  Then the ladder steps out from the regula-falsi point
+      x* = lo + (hi - lo) / (1 + exp(L_hi - L_lo)) from tol/2 to the
+      bracket's width, so a good x* closes the bracket in one pass.  x*
+      only places probes and is never returned, so a noisy L costs passes,
+      never accuracy.
+
+    Brackets are narrowed to width <= tol (or until no float lies strictly
+    inside), in at most the passes whose guaranteed shrink takes the
+    Gershgorin bracket to tol; a bracket still open after them raises
+    RuntimeError naming its level and width.  tol must be positive.
 
     `brackets`, if given, is a (lo, hi) pair of per-eigenvalue starting
-    intervals (e.g. from a coarser discretization).  One Sturm pass checks
-    them, and a level whose hint misses its eigenvalue starts from the
-    Gershgorin bracket instead, so a poor hint costs time but never
-    correctness.
+    intervals (e.g. from a coarser discretization).  The first pass probes
+    their ends and ladders inside them, and a level whose hint misses its
+    eigenvalue keeps the bracket the first pass's probes give it, at worst
+    the Gershgorin bracket, so a poor hint costs time but never
+    correctness.  `stats`, if given, is a dict that receives the number of
+    Sturm passes under "passes"; the solve is the same either way.
     """
     n = matrix.dim
     if not (1 <= count <= n):
@@ -348,38 +422,76 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None):
     radius[1:] += np.abs(matrix.offdiag)
     g_lo = float(np.min(matrix.diag - radius))
     g_hi = float(np.max(matrix.diag + radius))
+    rounds = _max_rounds(g_hi - g_lo, tol)
     want = np.arange(1, count + 1)  # j-th eigenvalue: smallest x with count>=j
+    # level j's bracket, with the counts and log|det| at its ends
+    lo = np.full(count, g_lo)
+    hi = np.full(count, g_hi)
+    c_lo = np.zeros(count, dtype=np.int64)
+    c_hi = np.full(count, n, dtype=np.int64)
+    l_lo = np.full(count, np.nan)
+    l_hi = np.full(count, np.nan)
     if brackets is None:
-        lo = np.full(count, g_lo)
-        hi = np.full(count, g_hi)
+        place_lo, place_hi, ends = lo, hi, np.empty(0)
     else:
-        lo = np.clip(np.asarray(brackets[0], dtype=float), g_lo, g_hi)
-        hi = np.clip(np.asarray(brackets[1], dtype=float), g_lo, g_hi)
-        if lo.shape != (count,) or hi.shape != (count,) or np.any(lo > hi):
+        place_lo = np.clip(np.asarray(brackets[0], dtype=float), g_lo, g_hi)
+        place_hi = np.clip(np.asarray(brackets[1], dtype=float), g_lo, g_hi)
+        if place_lo.shape != (count,) or place_hi.shape != (count,) \
+                or np.any(place_lo > place_hi):
             raise ValueError("brackets must be valid (lo, hi) arrays")
-        c = sturm_count(matrix, np.concatenate([lo, hi]))
-        # a hit has the eigenvalue strictly above lo and at or below hi
-        miss = (c[:count] >= want) | (c[count:] < want)
-        lo[miss] = g_lo
-        hi[miss] = g_hi
-    frac = np.linspace(0.0, 1.0, _PROBES + 2)[1:-1]
-    rows = np.arange(count)
-    rounds = _max_rounds(float(np.max(hi - lo)), tol)
-    for _ in range(rounds):
-        probes = lo[:, None] + (hi - lo)[:, None] * frac
-        c = sturm_count(matrix, probes.ravel()).reshape(count, frac.size)
-        above = c >= want[:, None]
-        k = np.argmax(above, axis=1)  # first probe at or past the eigenvalue
-        got = above[rows, k]
-        hi_new = np.where(got, probes[rows, k], hi)
-        lo_new = np.where(got & (k > 0), probes[rows, np.maximum(k - 1, 0)], lo)
-        lo_new = np.where(~got, probes[:, -1], lo_new)
-        stalled = np.all((lo_new == lo) & (hi_new == hi))
-        lo, hi = lo_new, hi_new
-        if np.all(hi - lo <= tol) or stalled:
-            break
-    # a bracket wider than tol must at least have no float strictly inside
-    unsettled = np.flatnonzero((hi - lo > tol) & (np.nextafter(lo, np.inf) < hi))
+        ends = np.concatenate([place_lo, place_hi])
+    is_open = np.ones(count, dtype=bool)
+    passes = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while is_open.any() and passes < rounds:
+            # distinct open brackets, each placed by its lowest level
+            pairs, first = np.unique(
+                np.stack([place_lo, place_hi], axis=1)[is_open], axis=0,
+                return_index=True)
+            level = np.flatnonzero(is_open)[first]
+            b_lo, b_hi = pairs[:, 0], pairs[:, 1]
+            per = max(_PROBES, _PROBES * count // b_lo.size)
+            rungs = per if passes == 0 else per // 2
+            uniform = per - rungs
+            width = b_hi - b_lo
+            centre = np.zeros(b_lo.size)
+            if passes:
+                # ladders about x* in isolated brackets, about 0 elsewhere
+                dl = l_hi[level] - l_lo[level]
+                isolated = ((c_lo[level] == want[level] - 1)
+                            & (c_hi[level] == want[level]) & np.isfinite(dl))
+                centre = np.where(isolated, b_lo + width / (1.0 + np.exp(dl)), 0.0)
+            frac = np.arange(1, uniform + 1) / (uniform + 1)
+            probes = np.concatenate([
+                ends,
+                (b_lo[:, None] + width[:, None] * frac).ravel(),
+                _ladder(centre, b_lo, b_hi, 0.5 * tol, rungs).ravel()])
+            probes.sort()
+            logdet = np.empty(probes.size)
+            c = sturm_count(matrix, probes, logdet)
+            passes += 1
+            # level j's new hi is its first probe inside (lo, hi) with count
+            # >= j; every probe below that has count < j, so the largest of
+            # them is its new lo, even where rounding makes counts
+            # non-monotone in the shift
+            inside = (probes > lo[:, None]) & (probes < hi[:, None])
+            up = inside & (c >= want[:, None])
+            k = np.argmax(up, axis=1)
+            got = up.any(axis=1)
+            hi = np.where(got, probes[k], hi)
+            c_hi = np.where(got, c[k], c_hi)
+            l_hi = np.where(got, logdet[k], l_hi)
+            k = np.searchsorted(probes, hi) - 1
+            got = (k >= 0) & (probes[np.maximum(k, 0)] > lo)
+            lo = np.where(got, probes[k], lo)
+            c_lo = np.where(got, c[k], c_lo)
+            l_lo = np.where(got, logdet[k], l_lo)
+            # a bracket wider than tol must at least have no float inside
+            is_open = (hi - lo > tol) & (np.nextafter(lo, np.inf) < hi)
+            place_lo, place_hi, ends = lo, hi, np.empty(0)
+    if stats is not None:
+        stats["passes"] = passes
+    unsettled = np.flatnonzero(is_open)
     if unsettled.size:
         raise RuntimeError(
             f"tridiag_smallest_eigenvalues: levels {unsettled.tolist()} not "

@@ -96,10 +96,13 @@ def build_hamiltonian(spec):
     return TridiagonalMatrix(diag, off)
 
 
-def fd_schrodinger_eigenvalues(spec, count, brackets=None):
-    """The lowest `count` eigenvalues epsilon_n of the discretized H_s."""
+def fd_schrodinger_eigenvalues(spec, count, brackets=None, stats=None):
+    """The lowest `count` eigenvalues epsilon_n of the discretized H_s.
+
+    `stats`, if given, receives the solver's Sturm passes under "passes".
+    """
     return tridiag_smallest_eigenvalues(build_hamiltonian(spec), count,
-                                        brackets=brackets)
+                                        brackets=brackets, stats=stats)
 
 
 def spectrum_compare(spec, analytic_energies, n_count):
@@ -108,18 +111,20 @@ def spectrum_compare(spec, analytic_energies, n_count):
     Converts FD eigenvalues to energies via E = sqrt(2 m epsilon), reports
     relative errors on the fine grid and the empirical convergence order
     from the coarse/fine pair.  Orders below 1.5 mark the run as failed.
+    "sturm_passes" holds the Sturm passes of the coarse and fine solves.
     """
     analytic = np.asarray(analytic_energies, dtype=float)
     if n_count > min(20, analytic.size):
         raise ValueError("n_count exceeds the supplied analytic levels (max 20)")
     analytic = analytic[:n_count]
-    eps_coarse = fd_schrodinger_eigenvalues(spec, n_count)
+    coarse, fine = {}, {}
+    eps_coarse = fd_schrodinger_eigenvalues(spec, n_count, stats=coarse)
     # the coarse values bracket the fine ones to O(h^2); the Sturm solver
     # verifies the hint and widens it if the discretization shifted further
     width = np.maximum(1e-3 * np.abs(eps_coarse), 1e-4)
     eps_fine = fd_schrodinger_eigenvalues(
         spec.refined(REFINE_FACTOR), n_count,
-        brackets=(eps_coarse - width, eps_coarse + width))
+        brackets=(eps_coarse - width, eps_coarse + width), stats=fine)
     e_coarse = np.sqrt(2.0 * spec.m * eps_coarse)
     e_fine = np.sqrt(2.0 * spec.m * eps_fine)
     err_coarse = np.abs(e_coarse - analytic) / analytic
@@ -136,4 +141,5 @@ def spectrum_compare(spec, analytic_energies, n_count):
         "max_rel_error": float(np.max(err_fine)),
         "convergence_order": order,
         "converged": bool(order >= 1.5),
+        "sturm_passes": {"coarse": coarse["passes"], "fine": fine["passes"]},
     }

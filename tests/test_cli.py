@@ -234,3 +234,6 @@ class TestVerifyCommands:
         payload = json.loads(out)
         assert payload["passed"]
         assert payload["max_rel_error"] <= 1e-3
+        passes = payload["sturm_passes"]
+        assert set(passes) == {"coarse", "fine"}
+        assert all(isinstance(k, int) and 1 <= k <= 10 for k in passes.values())

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import kv
 
 from kgcoherent import numerics
-from kgcoherent.oracle import build_hamiltonian, pt_potential
+from kgcoherent.linear_osc import LinearModel
+from kgcoherent.oracle import (
+    build_hamiltonian,
+    linear_potential,
+    pt_potential,
+    spectrum_compare,
+)
+from kgcoherent.poschl_teller import PTModel
 from kgcoherent.numerics import (
     _BLOCK_CELLS,
     _PIVMIN,
@@ -239,13 +246,82 @@ class TestTridiagonalEigen:
             tridiag_smallest_eigenvalues(m, 1)
 
     def test_open_bracket_raises(self, monkeypatch):
-        # too few rounds must be reported, not answered with a midpoint
-        monkeypatch.setattr(numerics, "_max_rounds", lambda width, tol: 3)
+        # too few rounds must be reported, not answered with a midpoint: one
+        # pass, the ladder about 0, leaves 0 in a bracket of about 2.6e-9
+        # and 3 in one of about 58
+        monkeypatch.setattr(numerics, "_max_rounds", lambda width, tol: 1)
         m = TridiagonalMatrix([0.0, 1e100, 3.0], [0.0, 0.0])
         with pytest.raises(RuntimeError,
                            match=r"levels \[0, 1\] not narrowed to tol=1e-10 "
-                                 r"in 3 rounds; final bracket widths \[2\.03"):
+                                 r"in 1 rounds; final bracket widths "
+                                 r"\[2\.6\d*e-09, 57\.9"):
             tridiag_smallest_eigenvalues(m, 2)
+
+    @pytest.mark.parametrize("corrupt", ["nan", "inf", "-inf", "noise"])
+    def test_corrupt_logdet_costs_passes_not_accuracy(self, monkeypatch, corrupt):
+        # log|det| only places probes; Sturm counts alone move the brackets
+        rng = np.random.default_rng(3)
+        real = numerics.sturm_count
+
+        def corrupted(matrix, x, logdet=None):
+            count = real(matrix, x, logdet)
+            if logdet is not None:
+                logdet[...] = (rng.normal(scale=1e3, size=logdet.shape)
+                               if corrupt == "noise" else float(corrupt))
+            return count
+
+        monkeypatch.setattr(numerics, "sturm_count", corrupted)
+        n = 200
+        laplacian = TridiagonalMatrix(np.full(n, 2.0), np.full(n - 1, -1.0))
+        random = TridiagonalMatrix(rng.normal(size=40), rng.normal(size=39))
+        for matrix, count in ((laplacian, 12), (random, 10)):
+            dense = (np.diag(matrix.diag) + np.diag(matrix.offdiag, 1)
+                     + np.diag(matrix.offdiag, -1))
+            want = np.linalg.eigvalsh(dense)[:count]
+            got = tridiag_smallest_eigenvalues(matrix, count)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_eigvalsh(self, data):
+        # mirror-symmetric (folded) and asymmetric matrices, repeated
+        # eigenvalues included (zero couplings)
+        n = data.draw(st.integers(1, 24))
+        entry = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-100.0, 100.0, allow_nan=False))
+        diag = data.draw(st.lists(entry, min_size=n, max_size=n))
+        off = data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        if data.draw(st.booleans()):
+            diag = diag[:(n + 1) // 2] + diag[:n // 2][::-1]
+            off = off[:n // 2] + off[:(n - 1) // 2][::-1]
+        matrix = TridiagonalMatrix(diag, off)
+        count = data.draw(st.integers(1, n))
+        dense = (np.diag(matrix.diag) + np.diag(matrix.offdiag, 1)
+                 + np.diag(matrix.offdiag, -1))
+        want = np.linalg.eigvalsh(dense)[:count]
+        got = tridiag_smallest_eigenvalues(matrix, count)
+        assert np.all(np.abs(got - want) <= np.maximum(1e-10, np.spacing(want)))
+
+    # bounds are the passes of the schedule plus two
+    def test_pass_counts(self, monkeypatch):
+        calls = []
+        real = numerics.sturm_count
+
+        def counted(matrix, x, logdet=None):
+            calls.append(matrix.dim)
+            return real(matrix, x, logdet)
+
+        monkeypatch.setattr(numerics, "sturm_count", counted)
+        for spec, analytic, coarse_max, fine_max in (
+                (pt_potential(count=2001), PTModel(1, 1).energies(7), 8, 7),
+                (linear_potential(count=2001), LinearModel(1, 1).energies(7), 8, 6)):
+            calls.clear()
+            rep = spectrum_compare(spec, analytic, 8)
+            coarse = calls.count(spec.grid.count - 2)
+            fine = calls.count(2 * spec.grid.count - 3)
+            assert coarse + fine == len(calls)
+            assert rep["sturm_passes"] == {"coarse": coarse, "fine": fine}
+            assert coarse <= coarse_max and fine <= fine_max
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -258,16 +334,21 @@ def _guard(d):
     return np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
 
 
-def guarded_sturm_count(matrix, x):
-    """Reference: the guarded pivot recurrence, one row at a time."""
+def guarded_sturm_count(matrix, x, logdet=None):
+    """Reference: the guarded pivot recurrence, one row at a time, with
+    log|det| summed over the same pivots."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diag = matrix.diag
     off2 = matrix.offdiag ** 2
     d = _guard(diag[0] - x)
     count = (d < 0.0).astype(np.int64)
+    total = np.log(np.abs(d))
     for i in range(1, diag.size):
         d = _guard(diag[i] - x - off2[i - 1] / d)
         count += d < 0.0
+        total += np.log(np.abs(d))
+    if logdet is not None:
+        logdet[...] = total
     return count
 
 
@@ -351,13 +432,43 @@ class TestSturmCount:
             assert np.array_equal(sturm_count(matrix, shifts), want)
 
     def test_fold_on_oracle_matrix(self, monkeypatch):
-        # the oracle's PT matrix folds; the solve must match the unfolded one
+        # the oracle's PT matrix folds; the solve must match the unfolded one,
+        # which takes log|det| from the row-by-row reference too
         matrix = build_hamiltonian(pt_potential(count=2001))
         assert is_mirror_symmetric(matrix)
         folded = tridiag_smallest_eigenvalues(matrix, 8)
         monkeypatch.setattr(numerics, "sturm_count", guarded_sturm_count)
         unfolded = tridiag_smallest_eigenvalues(matrix, 8)
         np.testing.assert_allclose(folded, unfolded, rtol=0.0, atol=1e-10)
+
+    def test_logdet_matches_slogdet(self):
+        # folded and full recurrences against a dense determinant
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 8, 30):
+            half = rng.normal(size=(n + 1) // 2)
+            diag = np.concatenate([half, half[:n // 2][::-1]])
+            off = rng.normal(size=n - 1)
+            off = np.concatenate([off[:n // 2], off[:(n - 1) // 2][::-1]])
+            for matrix in (TridiagonalMatrix(diag, off),
+                           TridiagonalMatrix(diag + rng.normal(size=n), off)):
+                dense = (np.diag(matrix.diag) + np.diag(matrix.offdiag, 1)
+                         + np.diag(matrix.offdiag, -1))
+                shifts = rng.normal(size=9)
+                logdet = np.full(shifts.size, np.nan)
+                sturm_count(matrix, shifts, logdet)
+                want = [np.linalg.slogdet(dense - s * np.eye(n))[1] for s in shifts]
+                np.testing.assert_allclose(logdet, want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, bad):
+        m = TridiagonalMatrix([1.0, 2.0], [0.5])
+        with pytest.raises(ValueError, match=rf"shifts must be finite, got \[{bad}\]"):
+            sturm_count(m, [0.0, bad, 1.0])
+
+    def test_empty_shifts(self):
+        m = TridiagonalMatrix([1.0, 2.0, 1.0], [0.5, 0.5])
+        got = sturm_count(m, [])
+        assert got.dtype == np.int64 and got.shape == (0,)
 
     @settings(deadline=None)
     @given(small_integer_tridiagonals())
