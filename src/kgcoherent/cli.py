@@ -7,9 +7,8 @@ sidecar, so every emitted file records the exact configuration that
 produced it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
-Flags may come from a flat key=value config file (--config); explicit
-flags win.  KGCOHERENT_OUTDIR overrides the directory of relative output
-paths.
+Every setting is a flag whose default lives in build_parser.
+KGCOHERENT_OUTDIR overrides the directory of relative output paths.
 """
 
 import argparse
@@ -58,30 +57,6 @@ def parse_alpha(text):
     return alpha
 
 
-def load_config(path):
-    config = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            config[{"n": "levels"}.get(key, key)] = value.strip()
-    return config
-
-
-def _resolve(args, config, key, default, cast=str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return cast(config[key])
-    return default
-
-
 def _out_path(path):
     if path in (None, "-"):
         return None
@@ -103,20 +78,10 @@ def _json_dumps(payload):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _fmt(x):
-    return f"{x:.9g}"
-
-
-def _build_model(args, config):
-    model_name = _resolve(args, config, "model", "linear")
-    m = _resolve(args, config, "m", 1.0, float)
-    if model_name == "linear":
-        k = _resolve(args, config, "k", 1.0, float)
-        return linear_osc.LinearModel(m, k)
-    if model_name == "pt":
-        omega = _resolve(args, config, "omega", 1.0, float)
-        return poschl_teller.PTModel(m, omega)
-    raise UsageError(f"unknown model {model_name!r} (expected linear or pt)")
+def _build_model(args):
+    if args.model == "linear":
+        return linear_osc.LinearModel(args.m, args.k)
+    return poschl_teller.PTModel(args.m, args.omega)
 
 
 def _model_config(model):
@@ -129,35 +94,32 @@ def _series_csv(model, alpha, truncation, t0, t1, dt):
     spec = linear_osc.CoherentSpec(alpha, truncation)
     t_grid = np.arange(t0, t1 + 0.5 * dt, dt)
     ts = linear_osc.time_series(model, spec, t_grid)
-    lines = [CSV_HEADER]
-    for i in range(t_grid.size):
-        lines.append(",".join(_fmt(v) for v in (
-            ts.t[i], ts.dx[i], ts.dp[i], ts.product[i],
-            ts.mean_x[i], ts.mean_p[i])))
-    return "\n".join(lines) + "\n"
+    columns = (ts.t, ts.dx, ts.dp, ts.product, ts.mean_x, ts.mean_p)
+    rows = ["%.9g,%.9g,%.9g,%.9g,%.9g,%.9g" % row
+            for row in zip(*(c.tolist() for c in columns))]
+    return "\n".join([CSV_HEADER] + rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_spectrum(args, config):
-    model = _build_model(args, config)
-    count = _resolve(args, config, "levels", 8, int)
-    if count < 1:
+def cmd_spectrum(args):
+    model = _build_model(args)
+    if args.levels < 1:
         raise UsageError("level count must be >= 1")
-    lines = ["n,energy,epsilon"]
-    for n in range(count):
-        lines.append(f"{n},{_fmt(model.energy(n))},"
-                     f"{_fmt(model.schrodinger_eigenvalue(n))}")
-    _write_text(_out_path(args.output), "\n".join(lines) + "\n")
+    energy = model.energies(args.levels - 1)
+    epsilon = energy ** 2 / (2.0 * model.m)
+    rows = ["%d,%.9g,%.9g" % (n, e, eps)
+            for n, (e, eps) in enumerate(zip(energy.tolist(), epsilon.tolist()))]
+    _write_text(_out_path(args.output), "\n".join(["n,energy,epsilon"] + rows) + "\n")
     return 0
 
 
-def cmd_state(args, config):
-    model = _build_model(args, config)
-    alpha = parse_alpha(_resolve(args, config, "alpha", "0"))
-    truncation = _resolve(args, config, "trunc", None, int)
+def cmd_state(args):
+    model = _build_model(args)
+    alpha = parse_alpha(args.alpha)
+    truncation = args.trunc
     if isinstance(model, linear_osc.LinearModel):
         truncation = 50 if truncation is None else truncation
         c = linear_osc.coherent_coefficients(
@@ -178,23 +140,19 @@ def cmd_state(args, config):
     return 0
 
 
-def cmd_evolve(args, config):
-    model = _build_model(args, config)
+def cmd_evolve(args):
+    model = _build_model(args)
     if not isinstance(model, linear_osc.LinearModel):
         raise UsageError("evolve emits the closed-form series: model must be linear")
-    alpha = parse_alpha(_resolve(args, config, "alpha", "0.1+0.2i"))
-    truncation = _resolve(args, config, "trunc", 50, int)
-    t0 = _resolve(args, config, "t0", 0.0, float)
-    t1 = _resolve(args, config, "t1", 50.0, float)
-    dt = _resolve(args, config, "dt", 0.05, float)
-    if not (t0 < t1 and dt > 0.0 and truncation >= 1):
+    alpha = parse_alpha(args.alpha)
+    if not (args.t0 < args.t1 and args.dt > 0.0 and args.trunc >= 1):
         raise UsageError("require t0 < t1, dt > 0, trunc >= 1")
     _write_text(_out_path(args.output),
-                _series_csv(model, alpha, truncation, t0, t1, dt))
+                _series_csv(model, alpha, args.trunc, args.t0, args.t1, args.dt))
     return 0
 
 
-def cmd_figures(args, config):
+def cmd_figures(args):
     if args.identifier not in FIGURES:
         raise UsageError(f"unknown figure {args.identifier!r} (fig1..fig11)")
     recipe = FIGURES[args.identifier]
@@ -215,7 +173,7 @@ def cmd_figures(args, config):
     return 0
 
 
-def cmd_verify(args, config):
+def cmd_verify(args):
     try:
         checks = verify.run_suite(args.suite)
     except KeyError:
@@ -230,16 +188,13 @@ def cmd_verify(args, config):
     return 0 if ok else 1
 
 
-def cmd_measure_check(args, config):
-    m = _resolve(args, config, "m", 1.0, float)
-    omega = _resolve(args, config, "omega", 1.0, float)
-    n_max = _resolve(args, config, "n_max", 10, int)
-    tol = _resolve(args, config, "tol", 1e-6, float)
-    model = poschl_teller.PTModel(m, omega)
-    report = poschl_teller.verify_measure_moments(model, n_max, tol)
+def cmd_measure_check(args):
+    model = poschl_teller.PTModel(args.m, args.omega)
+    report = poschl_teller.verify_measure_moments(model, args.n_max, args.tol)
     ok = all(r["passed"] for r in report)
     payload = {
-        "config": {"m": m, "omega": omega, "n_max": n_max, "tol": tol},
+        "config": {"m": args.m, "omega": args.omega,
+                   "n_max": args.n_max, "tol": args.tol},
         "passed": ok,
         "moments": report,
     }
@@ -247,19 +202,18 @@ def cmd_measure_check(args, config):
     return 0 if ok else 1
 
 
-def cmd_oracle(args, config):
-    model = _build_model(args, config)
-    count = _resolve(args, config, "levels", 8, int)
-    points = _resolve(args, config, "points", 4001, int)
+def cmd_oracle(args):
+    model = _build_model(args)
+    count = args.levels
     if isinstance(model, linear_osc.LinearModel):
-        spec = oracle_mod.linear_potential(model.m, model.k, points)
+        spec = oracle_mod.linear_potential(model.m, model.k, args.points)
     else:
-        spec = oracle_mod.pt_potential(model.m, model.omega, points)
+        spec = oracle_mod.pt_potential(model.m, model.omega, args.points)
     analytic = model.energies(count - 1)
     rep = oracle_mod.spectrum_compare(spec, analytic, count)
     ok = rep["converged"] and rep["max_rel_error"] <= 1e-3
     payload = {
-        "config": {**_model_config(model), "levels": count, "points": points},
+        "config": {**_model_config(model), "levels": count, "points": args.points},
         "passed": bool(ok),
         "max_rel_error": rep["max_rel_error"],
         "convergence_order": rep["convergence_order"],
@@ -281,35 +235,34 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="kgcoherent",
         description="Coherent states of a relativistic spinless particle")
-    parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_flags(p):
-        p.add_argument("--model", choices=["linear", "pt"])
-        p.add_argument("--m", type=float)
-        p.add_argument("--k", type=float)
-        p.add_argument("--omega", type=float)
+        p.add_argument("--model", choices=["linear", "pt"], default="linear")
+        p.add_argument("--m", type=float, default=1.0)
+        p.add_argument("--k", type=float, default=1.0)
+        p.add_argument("--omega", type=float, default=1.0)
 
     p = sub.add_parser("spectrum", help="print the lowest energy levels")
     add_model_flags(p)
-    p.add_argument("--n", dest="levels", type=int)
+    p.add_argument("--n", dest="levels", type=int, default=8)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("state", help="dump coherent-state coefficients as JSON")
     add_model_flags(p)
-    p.add_argument("--alpha")
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--alpha", default="0")
+    p.add_argument("--trunc", type=int, help="default 50 (linear) or 60 (pt)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_state)
 
     p = sub.add_parser("evolve", help="emit a time series CSV")
     add_model_flags(p)
-    p.add_argument("--alpha")
-    p.add_argument("--trunc", type=int)
-    p.add_argument("--t0", type=float)
-    p.add_argument("--t1", type=float)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--alpha", default="0.1+0.2i")
+    p.add_argument("--trunc", type=int, default=50)
+    p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--t1", type=float, default=50.0)
+    p.add_argument("--dt", type=float, default=0.05)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_evolve)
 
@@ -324,17 +277,17 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("measure-check", help="verify resolution-of-unity moments")
-    p.add_argument("--m", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--n-max", dest="n_max", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--m", type=float, default=1.0)
+    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--n-max", dest="n_max", type=int, default=10)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_measure_check)
 
     p = sub.add_parser("oracle", help="compare FD spectrum against analytic levels")
     add_model_flags(p)
-    p.add_argument("--n", dest="levels", type=int)
-    p.add_argument("--points", type=int)
+    p.add_argument("--n", dest="levels", type=int, default=8)
+    p.add_argument("--points", type=int, default=4001)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_oracle)
 
@@ -342,15 +295,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+        return args.func(args)
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

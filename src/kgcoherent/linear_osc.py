@@ -51,18 +51,6 @@ class LinearModel:
     def omega(self):
         return self.k / self.m
 
-    def energy(self, n):
-        """Relativistic level E_n = sqrt((2n+1) k), positive branch."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return math.sqrt((2 * n + 1) * self.k)
-
-    def schrodinger_eigenvalue(self, n):
-        """epsilon_n = E_n^2 / (2m) = (n + 1/2) omega."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return (2 * n + 1) * self.k / (2.0 * self.m)
-
     def eigenfunction_basis(self, n_max, x):
         """Rows u_0..u_{n_max} sampled on the array x (stable recursion)."""
         x = np.asarray(x, dtype=float)
@@ -77,6 +65,10 @@ class LinearModel:
         return basis
 
     def energies(self, n_max):
+        """E_0..E_{n_max}, E_n = sqrt((2n+1) k) (positive branch).
+
+        The Schrodinger eigenvalue is E_n^2 / (2m) = (n + 1/2) omega.
+        """
         return np.sqrt((2.0 * np.arange(n_max + 1) + 1.0) * self.k)
 
 

@@ -43,7 +43,7 @@ class PotentialSpec:
     label: str = "custom"
     warp: object = np.positive  # odd, increasing map of [-1, 1] onto itself
 
-    def refined(self, factor=2):
+    def refined(self, factor):
         g = self.grid
         return replace(self, grid=Grid(g.x_min, g.x_max, factor * (g.count - 1) + 1))
 
@@ -60,12 +60,11 @@ class PotentialSpec:
         return (g.x_min + half) + half * self.warp(0.5 * (s - s[::-1]))
 
 
-def linear_potential(m=1.0, k=1.0, count=4001, half_width=None):
+def linear_potential(m=1.0, k=1.0, count=4001):
     """S(x) = k|x| - m on a box wide enough that the wall is invisible."""
-    if half_width is None:
-        half_width = 12.0 / math.sqrt(k)
+    half = 12.0 / math.sqrt(k)
     return PotentialSpec(m, lambda x: k * np.abs(x) - m,
-                         Grid(-half_width, half_width, count), "linear")
+                         Grid(-half, half, count), "linear")
 
 
 def pt_potential(m=1.0, omega=1.0, count=4001):

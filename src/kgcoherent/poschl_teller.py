@@ -72,18 +72,9 @@ class PTModel:
     def half_width(self):
         return math.pi / (2.0 * self.omega)
 
-    def energy(self, n):
-        """E_n = omega (n + lambda); exactly equally spaced."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return self.omega * (n + self.lam)
-
     def energies(self, n_max):
+        """E_0..E_{n_max}, E_n = omega (n + lambda): exactly equally spaced."""
         return self.omega * (np.arange(n_max + 1) + self.lam)
-
-    def schrodinger_eigenvalue(self, n):
-        e = self.energy(n)
-        return e * e / (2.0 * self.m)
 
     def _log_norm(self, n):
         lam = self.lam

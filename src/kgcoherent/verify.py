@@ -2,7 +2,8 @@
 
 Each suite returns a list of check records {name, value, bound, passed};
 the CLI serializes them and turns failures into exit codes.  The bounds
-are the package's published tolerances, fixed here rather than in the
+are the package's published tolerances, and the problem sizes below are
+the ones they are published for; both are fixed here rather than in the
 callers.
 """
 
@@ -14,6 +15,13 @@ from .numerics import GridFunction, quadrature
 __all__ = ["verify_spectra", "verify_coherence", "verify_measure",
            "verify_oracle", "run_suite", "SUITES"]
 
+GRID_COUNT = 4001        # FD and quadrature grid points (spectra, oracle)
+LEVEL_COUNT = 8          # FD levels compared with the analytic spectra
+PT_TRUNCATION = 60       # PT coherent-state truncation (coherence)
+LINEAR_TRUNCATION = 50   # linear coherent-state truncation (coherence, oracle)
+MEASURE_N_MAX = 10       # highest measure moment checked
+MEASURE_TOL = 1e-6       # relative tolerance of each measure moment
+
 
 def _check(name, value, bound, passed=None):
     if passed is None:
@@ -22,17 +30,18 @@ def _check(name, value, bound, passed=None):
             "passed": bool(passed)}
 
 
-def verify_spectra(grid_count=4001, n_count=8):
+def verify_spectra():
     """FD eigensolver vs analytic spectra: linear, PT, and PT with lambda near 1."""
     checks = []
     lin = linear_osc.LinearModel(1.0, 1.0)
     ptm = poschl_teller.PTModel(1.0, 1.0)
     ptl = poschl_teller.PTModel(0.5, 2.0)
     for name, spec, model in (
-            ("linear", oracle.linear_potential(lin.m, lin.k, grid_count), lin),
-            ("pt", oracle.pt_potential(ptm.m, ptm.omega, grid_count), ptm),
-            ("pt_m0.5_omega2", oracle.pt_potential(ptl.m, ptl.omega, grid_count), ptl)):
-        rep = oracle.spectrum_compare(spec, model.energies(n_count - 1), n_count)
+            ("linear", oracle.linear_potential(lin.m, lin.k, GRID_COUNT), lin),
+            ("pt", oracle.pt_potential(ptm.m, ptm.omega, GRID_COUNT), ptm),
+            ("pt_m0.5_omega2", oracle.pt_potential(ptl.m, ptl.omega, GRID_COUNT), ptl)):
+        rep = oracle.spectrum_compare(
+            spec, model.energies(LEVEL_COUNT - 1), LEVEL_COUNT)
         order = rep["convergence_order"]
         checks.append(_check(f"{name}_fd_max_rel_error", rep["max_rel_error"], 1e-3))
         checks.append(_check(f"{name}_fd_convergence_order", order, 2.2,
@@ -45,26 +54,26 @@ def verify_spectra(grid_count=4001, n_count=8):
     return checks
 
 
-def verify_coherence(truncation=60):
+def verify_coherence():
     """PT eigenstate/phase-coherence identities and linear-model decoherence."""
     checks = []
     ptm = poschl_teller.PTModel(1.0, 1.0)
     alphas = [0.5, 1.0, 1 + 0.5j, 1 + 2j, 2 - 1j]
     worst_eig = 0.0
     for alpha in alphas:
-        state = poschl_teller.coherent_coefficients(ptm, alpha, truncation)
+        state = poschl_teller.coherent_coefficients(ptm, alpha, PT_TRUNCATION)
         out = poschl_teller.apply_annihilation(ptm, state.coefficients)
         res = np.linalg.norm(out - alpha * state.coefficients) \
             / np.linalg.norm(state.coefficients)
         worst_eig = max(worst_eig, float(res))
     checks.append(_check("pt_eigenstate_residual", worst_eig, 1e-10))
     worst_phase = max(
-        poschl_teller.phase_coherence_check(ptm, alpha, truncation, t)
+        poschl_teller.phase_coherence_check(ptm, alpha, PT_TRUNCATION, t)
         for alpha in alphas for t in np.linspace(0.0, 12.0, 20))
     checks.append(_check("pt_phase_coherence_residual", worst_phase, 1e-12))
     lin = linear_osc.LinearModel(1.0, 1.0)
-    state = evolution.make_state(
-        lin, linear_osc.coherent_coefficients(linear_osc.CoherentSpec(1 + 2j, 50)))
+    spec = linear_osc.CoherentSpec(1 + 2j, LINEAR_TRUNCATION)
+    state = evolution.make_state(lin, linear_osc.coherent_coefficients(spec))
     checks.append(_check("linear_lowering_residual_t0",
                          evolution.lowering_residual(state, 0.0), 1e-12))
     res_t1 = evolution.lowering_residual(state, 1.0)
@@ -73,22 +82,22 @@ def verify_coherence(truncation=60):
     return checks
 
 
-def verify_measure(n_max=10, tol=1e-6):
+def verify_measure():
     """Moments of the candidate resolution-of-unity weight."""
     ptm = poschl_teller.PTModel(1.0, 1.0)
-    report = poschl_teller.verify_measure_moments(ptm, n_max, tol)
-    return [_check(f"measure_moment_n{r['n']}", r["rel_err"], tol,
+    report = poschl_teller.verify_measure_moments(ptm, MEASURE_N_MAX, MEASURE_TOL)
+    return [_check(f"measure_moment_n{r['n']}", r["rel_err"], MEASURE_TOL,
                    passed=r["passed"]) for r in report]
 
 
-def verify_oracle(grid_count=4001, truncation=50):
+def verify_oracle():
     """Closed-form linear-model series vs quadrature moments on an alpha/t lattice."""
     checks = []
     lin = linear_osc.LinearModel(1.0, 1.0)
-    grid = evolution.default_grid(lin, grid_count)
+    grid = evolution.default_grid(lin, GRID_COUNT)
     worst = 0.0
     for alpha in (0.1 + 0.2j, 1 + 2j, 2 - 1j, 0.5):
-        spec = linear_osc.CoherentSpec(alpha, truncation)
+        spec = linear_osc.CoherentSpec(alpha, LINEAR_TRUNCATION)
         state = evolution.make_state(lin, linear_osc.coherent_coefficients(spec))
         for t in (0.0, 0.7, 3.1, 12.9):
             f = evolution.synthesize(state, grid, t)

@@ -52,6 +52,18 @@ class TestSpectrumCommand:
         assert energies == pytest.approx([1.0, math.sqrt(3), math.sqrt(5)],
                                          rel=1e-8)
 
+    def test_epsilon_column(self, capsys):
+        # epsilon_n = E_n^2 / (2m) = (n + 1/2) k/m for the linear model
+        code, out, _ = run(capsys, "spectrum", "--m", "2", "--n", "4")
+        assert code == 0
+        eps = [float(r.split(",")[2]) for r in out.strip().splitlines()[1:]]
+        assert eps == pytest.approx([0.25, 0.75, 1.25, 1.75], rel=1e-9)
+        code, out, _ = run(capsys, "spectrum", "--model", "pt", "--m", "1.3",
+                           "--omega", "0.7", "--n", "3")
+        for row in out.strip().splitlines()[1:]:
+            _, energy, eps = (float(v) for v in row.split(","))
+            assert eps == pytest.approx(energy ** 2 / 2.6, rel=1e-8)
+
     def test_pt_levels(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--model", "pt",
                            "--m", "1", "--omega", "1", "--n", "2")
@@ -165,21 +177,35 @@ class TestEvolveAndFigures:
         assert (tmp_path / "fig1.csv").exists()
 
 
-class TestConfigFile:
-    def test_merge_with_flags_winning(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("model=pt\nomega=1\nn=2\n")
-        code, out, _ = run(capsys, "--config", str(cfg), "spectrum")
-        assert code == 0
-        assert len(out.strip().splitlines()) == 3  # header + 2 levels
-        code, out, _ = run(capsys, "--config", str(cfg), "spectrum", "--n", "4")
-        assert len(out.strip().splitlines()) == 5  # flag wins
+class TestDefaults:
+    """Every setting's default lives on its flag; these pin the documented values."""
 
-    def test_bad_config_line(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just-a-word\n")
-        code, _, err = run(capsys, "--config", str(cfg), "spectrum")
-        assert code == 2
+    def test_evolve_defaults_are_fig1(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "evolve")
+        assert code == 0
+        assert main(["figures", "fig1", "-o", str(tmp_path / "fig1.csv")]) == 0
+        assert out.encode() == (tmp_path / "fig1.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv,config", [
+        (["oracle"], {"model": "linear", "m": 1.0, "k": 1.0,
+                      "levels": 8, "points": 4001}),
+        (["measure-check"], {"m": 1.0, "omega": 1.0, "n_max": 10, "tol": 1e-6}),
+        (["state"], {"model": "linear", "m": 1.0, "k": 1.0,
+                     "alpha": [0.0, 0.0], "trunc": 50}),
+        (["state", "--model", "pt"], {"model": "pt", "m": 1.0, "omega": 1.0,
+                                      "alpha": [0.0, 0.0], "trunc": 60}),
+    ])
+    def test_config_block(self, capsys, argv, config):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"] == config
+
+    def test_spectrum_defaults(self, capsys):
+        code, out, _ = run(capsys, "spectrum")
+        assert code == 0
+        rows = out.strip().splitlines()
+        assert len(rows) == 1 + 8
+        assert rows[1] == "0,1,0.5"
 
 
 class TestVerifyCommands:

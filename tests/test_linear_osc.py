@@ -21,13 +21,13 @@ from kgcoherent.numerics import Grid, GridFunction, quadrature
 
 class TestSpectrum:
     def test_ground_level(self):
-        assert LinearModel(1, 1).energy(0) == 1.0
+        assert LinearModel(1, 1).energies(0)[0] == 1.0
 
     def test_first_excited(self):
-        assert LinearModel(1, 1).energy(1) == pytest.approx(math.sqrt(3.0))
+        assert LinearModel(1, 1).energies(1)[1] == pytest.approx(math.sqrt(3.0))
 
     def test_coupling_scaling(self):
-        assert LinearModel(1, 4).energy(0) == pytest.approx(2.0)
+        assert LinearModel(1, 4).energies(0)[0] == pytest.approx(2.0)
 
     def test_spacing_shrinks(self):
         m = LinearModel(1, 1)
@@ -35,17 +35,6 @@ class TestSpectrum:
         gaps = np.diff(e)
         assert np.all(gaps > 0)
         assert np.all(np.diff(gaps) < 0)
-
-    def test_schrodinger_eigenvalue(self):
-        assert LinearModel(1, 1).schrodinger_eigenvalue(0) == 0.5
-        assert LinearModel(1, 1).schrodinger_eigenvalue(3) == 3.5
-        assert LinearModel(2, 1).schrodinger_eigenvalue(0) == 0.25
-
-    def test_energy_eigenvalue_consistency(self):
-        m = LinearModel(1.7, 2.3)
-        for n in range(10):
-            assert m.energy(n) == pytest.approx(
-                math.sqrt(2 * m.m * m.schrodinger_eigenvalue(n)), rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -52,10 +52,10 @@ class TestLambdaAndSpectrum:
             lambda_of(m, omega)
 
     def test_ground_energy(self):
-        assert PTModel(1, 1).energy(0) == pytest.approx(GOLDEN, rel=1e-15)
+        assert PTModel(1, 1).energies(0)[0] == pytest.approx(GOLDEN, rel=1e-15)
 
     def test_level_five(self):
-        assert PTModel(1, 1).energy(5) == pytest.approx(5.0 + GOLDEN, rel=1e-15)
+        assert PTModel(1, 1).energies(5)[5] == pytest.approx(5.0 + GOLDEN, rel=1e-15)
 
     def test_exact_equal_spacing(self):
         m = PTModel(1.3, 0.7)
