@@ -27,8 +27,8 @@ print(f"|A psi - alpha psi| = {res:.3e}  (eigenstate of the lowering operator)")
 print(f"norm of coefficients: {np.sum(np.abs(state.coefficients)**2):.15f}")
 
 print("\nphase coherence along one period:")
-for t in np.linspace(0.0, 2.0 * math.pi / model.omega, 9):
-    dev = pt.phase_coherence_check(model, alpha, 60, t)
+times = np.linspace(0.0, 2.0 * math.pi / model.omega, 9)
+for t, dev in zip(times, pt.phase_coherence_check(model, alpha, 60, times)):
     print(f"  t = {t:7.4f}   |psi(t) - phase * psi_rotated| = {dev:.3e}")
 
 # the label completes a circle; the state picks up exp(-2 pi i lambda)

@@ -7,7 +7,10 @@ sidecar, so every emitted file records the exact configuration that
 produced it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
-Every setting is a flag whose default lives in build_parser.
+Every setting is a flag whose default lives in build_parser, except those
+that depend on --model: --k (linear only) and --omega (pt only) default to
+their model's field, and state --trunc resolves to 50 or 60 by model.
+A flag of the other model is rejected.
 KGCOHERENT_OUTDIR overrides the directory of relative output paths.
 """
 
@@ -79,9 +82,14 @@ def _json_dumps(payload):
 
 
 def _build_model(args):
-    if args.model == "linear":
-        return linear_osc.LinearModel(args.m, args.k)
-    return poschl_teller.PTModel(args.m, args.omega)
+    # --k belongs to the linear model and --omega to Poschl-Teller; an unset
+    # one takes its model's default (LinearModel.k, PTModel.omega)
+    own, other, cls = (("k", "omega", linear_osc.LinearModel) if args.model == "linear"
+                       else ("omega", "k", poschl_teller.PTModel))
+    if getattr(args, other) is not None:
+        raise UsageError(f"--{other} does not apply to --model {args.model}")
+    value = getattr(args, own)
+    return cls(args.m) if value is None else cls(args.m, value)
 
 
 def _model_config(model):
@@ -156,17 +164,15 @@ def cmd_figures(args):
     if args.identifier not in FIGURES:
         raise UsageError(f"unknown figure {args.identifier!r} (fig1..fig11)")
     recipe = FIGURES[args.identifier]
-    model = linear_osc.LinearModel(1.0, 1.0)
-    alpha = parse_alpha(recipe["alpha"])
-    run = {"model": "linear", "m": 1.0, "k": 1.0, "alpha": recipe["alpha"],
-           "trunc": 50, "t0": 0.0, "t1": recipe["t1"], "dt": 0.05,
-           "column": recipe["column"]}
-    csv_text = _series_csv(model, alpha, 50, 0.0, recipe["t1"], 0.05)
-    out = args.output
-    if out is None:
-        out = f"{args.identifier}.csv"
-    out = _out_path(out)
-    _write_text(out, csv_text)
+    # a figure is an `evolve` run: the recipe's alpha and t1 on evolve's defaults
+    series = build_parser().parse_args(
+        ["evolve", f"--alpha={recipe['alpha']}", f"--t1={recipe['t1']!r}"])
+    series.output = f"{args.identifier}.csv" if args.output is None else args.output
+    cmd_evolve(series)
+    run = {**_model_config(_build_model(series)), "alpha": series.alpha,
+           "trunc": series.trunc, "t0": series.t0, "t1": series.t1,
+           "dt": series.dt, "column": recipe["column"]}
+    out = _out_path(series.output)
     meta = {"figure": args.identifier, "config": run, "columns": CSV_HEADER.split(",")}
     if out is not None:
         _write_text(os.path.splitext(out)[0] + ".meta.json", _json_dumps(meta))
@@ -240,8 +246,10 @@ def build_parser():
     def add_model_flags(p):
         p.add_argument("--model", choices=["linear", "pt"], default="linear")
         p.add_argument("--m", type=float, default=1.0)
-        p.add_argument("--k", type=float, default=1.0)
-        p.add_argument("--omega", type=float, default=1.0)
+        p.add_argument("--k", type=float,
+                       help=f"linear only; default {linear_osc.LinearModel.k:g}")
+        p.add_argument("--omega", type=float,
+                       help=f"pt only; default {poschl_teller.PTModel.omega:g}")
 
     p = sub.add_parser("spectrum", help="print the lowest energy levels")
     add_model_flags(p)

@@ -7,13 +7,16 @@ Eigenfunctions are evaluated through the Gegenbauer form
 (cos wx)^lambda C_n^lambda(sin wx), which has a stable recursion; ladder
 action on coefficient vectors uses the D(n, lambda) factors.  The
 resolution-of-unity measure weight is a Bessel-K construction whose
-moments are verified numerically: the tail cutoff is the first rung of a
-geometric ladder where the tail bound holds, probed eight rungs per
-weight call, and the integral below it is the package's one Simpson rule
-(numerics.quadrature) in u = sqrt(x), doubled until it settles.
+moments are verified numerically: each moment's tail cutoff is the first
+rung of its geometric ladder where the tail bound holds, and the ladders
+of all moments are probed together, one weight call per chunk of eight
+rungs over every moment still open; the integral below the cutoff is the
+package's one Simpson rule (numerics.quadrature) in u = sqrt(x), doubled
+until it settles.  Coherent states take one label or an array of labels,
+and the phase-coherence check one time or an array of times, each in one
+array computation.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -151,47 +154,66 @@ def _log_weights(lam, n_max):
 def coherent_coefficients(model, alpha, truncation=60):
     """Closed-form coefficients c_n of the lowering-operator eigenstate.
 
-    Built in log space; the result is unit-norm within the truncation tail
-    and satisfies the one-step recursion to near machine precision.
+    alpha is one label or a 1-D array of labels.  An array gives a state
+    whose .alpha is that array and whose .coefficients has one row per
+    label; each row equals the one-label call bit for bit, since one label
+    is row 0 of the same array code.  Built in log space; the result is
+    unit-norm within the truncation tail and satisfies the one-step
+    recursion to near machine precision.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    alpha = complex(alpha)
-    lam = model.lam
-    n_idx = np.arange(truncation + 1)
-    logw = _log_weights(lam, truncation)
-    r = abs(alpha)
-    if not math.isfinite(r):
+    labels = np.asarray(alpha, dtype=complex)
+    if labels.ndim > 1:
+        raise ValueError("alpha must be one label or a 1-D array of labels")
+    r = np.abs(labels).reshape(-1, 1)
+    if not np.isfinite(r).all():
         raise ValueError("alpha must be finite")
-    if r == 0.0:
-        c = np.zeros(truncation + 1, dtype=complex)
-        c[0] = 1.0
-        return PTCoherentState(model, alpha, c)
-    log_terms = 2.0 * n_idx * math.log(r) + 2.0 * logw
-    peak = float(np.max(log_terms))
-    log_s = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
-    phase = cmath.phase(alpha)
-    c = np.exp(n_idx * math.log(r) + logw - 0.5 * log_s) \
-        * np.exp(1j * phase * n_idx)
-    return PTCoherentState(model, alpha, c)
+    n_idx = np.arange(truncation + 1)
+    logw = _log_weights(model.lam, truncation)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_log_r = n_idx * np.log(r)
+    n_log_r[:, 0] = 0.0  # r^0 = 1, also for alpha = 0, where log r = -inf
+    log_terms = 2.0 * n_log_r + 2.0 * logw
+    peak = log_terms.max(axis=1, keepdims=True)
+    log_s = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
+    phase = np.arctan2(labels.imag, labels.real).reshape(-1, 1)
+    c = np.exp(n_log_r + logw - 0.5 * log_s + 1j * (phase * n_idx))
+    if labels.ndim:
+        return PTCoherentState(model, labels, c)
+    return PTCoherentState(model, complex(labels), c[0])
 
 
 def evolve(state, t):
-    """Phases e^{-i omega (n + lambda) t} on the positive-energy coefficients."""
-    n_idx = np.arange(state.coefficients.size)
-    phases = np.exp(-1j * state.model.omega * (n_idx + state.model.lam) * float(t))
+    """Phases e^{-i omega (n + lambda) t} on the positive-energy coefficients.
+
+    t is one time, which keeps the shape of state.coefficients, or a 1-D
+    array of times for a one-label state, which gives one row per time.
+    """
+    n_idx = np.arange(state.coefficients.shape[-1])
+    times = np.asarray(t, dtype=float)[..., None]
+    phases = np.exp(-1j * state.model.omega * (n_idx + state.model.lam) * times)
     return state.coefficients * phases
 
 
 def phase_coherence_check(model, alpha, truncation, t):
-    """Residual of evolve(psi_alpha, t) vs e^{-i omega lam t} psi_{alpha e^{-i omega t}}."""
-    state = coherent_coefficients(model, alpha, truncation)
-    evolved = evolve(state, t)
-    rotated = coherent_coefficients(
-        model, complex(alpha) * cmath.exp(-1j * model.omega * t), truncation)
-    target = cmath.exp(-1j * model.omega * model.lam * t) * rotated.coefficients
-    norm = np.linalg.norm(state.coefficients)
-    return float(np.linalg.norm(evolved - target) / norm)
+    """Residual of evolve(psi_alpha, t) vs e^{-i omega lam t} psi_{alpha e^{-i omega t}}.
+
+    t is one time (gives a float) or a 1-D array of times (gives one
+    residual per time).  psi_alpha and every rotated state come from one
+    coefficient call.  Each rotated state is the closed form at the rotated
+    label: re-phasing psi_alpha instead would make the check vacuous.
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim > 1:
+        raise ValueError("t must be one time or a 1-D array of times")
+    alpha = complex(alpha)
+    labels = np.concatenate(([alpha], alpha * np.exp(-1j * model.omega * times)))
+    states = coherent_coefficients(model, labels, truncation).coefficients
+    evolved = evolve(PTCoherentState(model, alpha, states[0]), times)
+    target = np.exp(-1j * model.omega * model.lam * times)[:, None] * states[1:]
+    res = np.linalg.norm(evolved - target, axis=1) / np.linalg.norm(states[0])
+    return res if np.ndim(t) else float(res[0])
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +258,36 @@ def moment_target(model, n):
                     + log_gamma(2.0 * lam + n))
 
 
-def _moment_cutoff(model, n, tol, target, weight):
-    """First rung x = (n + lam + 6)^2 1.4^j, j < 60, with a negligible tail.
+def _moment_cutoffs(model, tol, targets, weight):
+    """First rung x = (n + lam + 6)^2 1.4^j, j < 60, with a negligible tail,
+    for each moment n < len(targets).
 
-    The tail beyond x is bounded by x^n |W(x)| (sqrt(x) + 1); the rungs are
-    probed eight per weight call, which keeps the z range of one Bessel-K
-    table narrow.  Raises RuntimeError if no rung meets the bound.
+    The tail beyond x is bounded by x^n |W(x)| (sqrt(x) + 1).  All moments'
+    ladders are probed together: one weight call per chunk of eight rungs
+    over every n still open, which keeps the z range of one Bessel-K table
+    narrow.  Raises RuntimeError naming the lowest n whose ladder never
+    meets the bound.
     """
-    ladder = np.cumprod(np.r_[(n + model.lam + 6.0) ** 2, np.full(59, 1.4)])
-    for rungs in np.split(ladder, range(8, ladder.size, 8)):
-        tail = rungs ** n * np.abs(weight(model, rungs)) * (np.sqrt(rungs) + 1.0)
-        met = np.flatnonzero(tail <= 1e-2 * tol * target)
-        if met.size:
-            return float(rungs[met[0]])
+    n = np.arange(len(targets))
+    # stdlib float powers: a ** 2 and numpy's a * a can differ in the last bit
+    starts = [(k + model.lam + 6.0) ** 2 for k in range(n.size)]
+    ladders = np.cumprod(np.c_[starts, np.full((n.size, 59), 1.4)], axis=1)
+    bounds = 1e-2 * tol * np.asarray(targets, dtype=float)
+    cutoffs = np.empty(n.size)
+    open_n = n
+    for first in range(0, ladders.shape[1], 8):
+        rungs = ladders[open_n, first:first + 8]
+        w = np.abs(weight(model, rungs.ravel())).reshape(rungs.shape)
+        tail = rungs ** open_n[:, None] * w * (np.sqrt(rungs) + 1.0)
+        met = tail <= bounds[open_n, None]
+        done = met.any(axis=1)
+        cutoffs[open_n[done]] = rungs[done, np.argmax(met[done], axis=1)]
+        open_n = open_n[~done]
+        if not open_n.size:
+            return cutoffs
+    lowest = open_n[0]
     raise RuntimeError(
-        f"moment n={n}: tail bound not met up to x={ladder[-1]:g}")
+        f"moment n={lowest}: tail bound not met up to x={ladders[lowest, -1]:g}")
 
 
 def _moment_integral(model, n, x_cut, tol, target, weight):
@@ -292,10 +329,10 @@ def verify_measure_moments(model, n_max=10, tol=1e-6, weight=None):
         raise ValueError("tol below 1e-8 is not resolvable here")
     if weight is None:
         weight = measure_weight
+    targets = [moment_target(model, n) for n in range(n_max + 1)]
+    cutoffs = _moment_cutoffs(model, tol, targets, weight)
     report = []
-    for n in range(n_max + 1):
-        target = moment_target(model, n)
-        x_cut = _moment_cutoff(model, n, tol, target, weight)
+    for n, (target, x_cut) in enumerate(zip(targets, cutoffs.tolist())):
         value, converged = _moment_integral(model, n, x_cut, tol, target, weight)
         rel_err = abs(value - target) / target
         report.append({

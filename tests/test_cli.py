@@ -200,6 +200,25 @@ class TestDefaults:
         assert code == 0
         assert json.loads(out)["config"] == config
 
+    def test_figure_meta_is_evolve_defaults(self, tmp_path):
+        assert main(["figures", "fig2", "-o", str(tmp_path / "fig2.csv")]) == 0
+        meta = json.loads((tmp_path / "fig2.meta.json").read_text())
+        assert meta["config"] == {"model": "linear", "m": 1.0, "k": 1.0,
+                                  "alpha": "1+2i", "trunc": 50, "t0": 0.0,
+                                  "t1": 100.0, "dt": 0.05, "column": "product"}
+
+    @pytest.mark.parametrize("argv,flag,model", [
+        (["spectrum", "--model", "pt", "--k", "5"], "--k", "pt"),
+        (["oracle", "--model", "linear", "--omega", "3"], "--omega", "linear"),
+        (["state", "--model", "pt", "--k", "1"], "--k", "pt"),
+        (["evolve", "--omega", "2"], "--omega", "linear"),
+    ])
+    def test_other_model_flag_rejected(self, capsys, argv, flag, model):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} does not apply to --model {model}" in err
+
     def test_spectrum_defaults(self, capsys):
         code, out, _ = run(capsys, "spectrum")
         assert code == 0

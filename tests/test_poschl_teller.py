@@ -219,6 +219,24 @@ class TestCoherentState:
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite"):
             coherent_coefficients(PTModel(1, 1), alpha, 10)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            coherent_coefficients(PTModel(1, 1), np.array([0.5, alpha, 0.0]), 10)
+
+    def test_label_array_rows_equal_scalar_calls(self):
+        m = PTModel(1.3, 0.7)
+        alphas = np.array([0.5, 0.0, 1 + 2j, -2.5j, 1e-300, 3 - 1j, 0.0])
+        state = coherent_coefficients(m, alphas, 60)
+        assert state.coefficients.shape == (alphas.size, 61)
+        assert np.array_equal(state.alpha, alphas)
+        for alpha, row in zip(alphas, state.coefficients):
+            one = coherent_coefficients(m, alpha, 60)
+            assert one.coefficients.ndim == 1
+            assert one.coefficients.tolist() == row.tolist()
+        assert state.coefficients[1].tolist() == [1.0] + [0.0] * 60
+
+    def test_label_matrix_rejected(self):
+        with pytest.raises(ValueError, match="1-D array of labels"):
+            coherent_coefficients(PTModel(1, 1), np.ones((2, 2)), 10)
 
 
 class TestEvolution:
@@ -257,6 +275,44 @@ class TestEvolution:
                     for alpha in (0.5, 1.0, 1 + 0.5j, 1 + 2j, 2 - 1j)
                     for t in np.linspace(0.0, 12.0, 20))
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 1 + 0.5j, 2 - 1j])
+    def test_time_array_equals_scalar_calls(self, alpha):
+        m = PTModel(1.3, 0.7)
+        times = np.linspace(0.0, 12.0, 20)
+        got = phase_coherence_check(m, alpha, 60, times)
+        assert got.shape == times.shape
+        assert got.tolist() == [phase_coherence_check(m, alpha, 60, t) for t in times]
+        assert isinstance(phase_coherence_check(m, alpha, 60, 0.7), float)
+
+    def test_evolve_time_array_rows(self):
+        m = PTModel(1.3, 0.7)
+        state = coherent_coefficients(m, 1 + 1j, 40)
+        times = np.array([0.0, 0.7, 5.5])
+        rows = evolve(state, times)
+        assert rows.shape == (3, 41)
+        for t, row in zip(times, rows):
+            assert row.tolist() == evolve(state, t).tolist()
+
+    def test_rotated_states_come_from_closed_form(self, monkeypatch):
+        # Perturb every built state by a factor that depends on Re(label).
+        # The rotated labels differ from alpha, so a check that builds them
+        # from the closed form sees the perturbation; one that re-phased
+        # psi_alpha's coefficients would still read ~0.
+        builder = pt.coherent_coefficients
+
+        def perturbed(model, alpha, truncation=60):
+            state = builder(model, alpha, truncation)
+            scale = 1.0 + 1e-3 * np.real(state.alpha)
+            return pt.PTCoherentState(model, state.alpha, state.coefficients
+                                      * np.asarray(scale)[..., None])
+
+        m = PTModel(1, 1)
+        times = np.array([0.7, 2.0, 4.0])
+        assert np.all(phase_coherence_check(m, 1 + 0.5j, 60, times) <= 1e-12)
+        monkeypatch.setattr(pt, "coherent_coefficients", perturbed)
+        assert np.all(phase_coherence_check(m, 1 + 0.5j, 60, times) > 1e-8)
+        assert phase_coherence_check(m, 1 + 0.5j, 60, 0.7) > 1e-8
 
 
 class TestMeasure:
@@ -330,10 +386,10 @@ class TestMeasure:
             raise AssertionError("reference ladder exhausted")
 
         model = PTModel(m, omega)
-        for n in range(11):
-            target = pt.moment_target(model, n)
-            assert pt._moment_cutoff(model, n, 1e-6, target, weight) == \
-                ladder_cutoff(model, n, 1e-6, target)
+        targets = [pt.moment_target(model, n) for n in range(11)]
+        got = pt._moment_cutoffs(model, 1e-6, targets, weight)
+        assert got.tolist() == [ladder_cutoff(model, n, 1e-6, target)
+                                for n, target in enumerate(targets)]
 
     @pytest.mark.parametrize("weight", [measure_weight, g_weight])
     def test_integral_matches_interleaved_simpson(self, weight):
@@ -360,9 +416,10 @@ class TestMeasure:
             return value, False
 
         model = PTModel(1.3, 0.7)
+        targets = [pt.moment_target(model, n) for n in range(11)]
+        cutoffs = pt._moment_cutoffs(model, 1e-6, targets, weight)
         for n in (0, 3, 10):
-            target = pt.moment_target(model, n)
-            x_cut = pt._moment_cutoff(model, n, 1e-6, target, weight)
+            target, x_cut = targets[n], float(cutoffs[n])
             got, got_converged = pt._moment_integral(
                 model, n, x_cut, 1e-6, target, weight)
             want, want_converged = interleaved(model, n, x_cut, 1e-6, target)
@@ -371,13 +428,21 @@ class TestMeasure:
             assert got_converged == want_converged
 
     def test_cutoff_unmet_raises(self):
-        # a weight that never decays has no finite cutoff
+        # x^-2.6 decays fast enough for the tail bounds of n = 0 and 1 on the
+        # ladder, not for n = 2; a weight that never decays has no cutoff
+        def power_law(model, x):
+            return x ** -2.6
+
         def flat(model, x):
             return np.ones_like(x)
 
         m = PTModel(1, 1)
+        targets = [pt.moment_target(m, n) for n in range(3)]
+        assert np.all(np.isfinite(pt._moment_cutoffs(m, 1e-6, targets[:2], power_law)))
         with pytest.raises(RuntimeError, match=r"moment n=2: tail bound not met"):
-            pt._moment_cutoff(m, 2, 1e-6, pt.moment_target(m, 2), flat)
+            pt._moment_cutoffs(m, 1e-6, targets, power_law)
+        with pytest.raises(RuntimeError, match=r"moment n=2: tail bound not met"):
+            verify_measure_moments(m, 2, weight=power_law)
         with pytest.raises(RuntimeError, match=r"n=0"):
             verify_measure_moments(m, 0, weight=flat)
 
