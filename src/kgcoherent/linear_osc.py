@@ -51,18 +51,26 @@ class LinearModel:
     def omega(self):
         return self.k / self.m
 
-    def eigenfunction_basis(self, n_max, x):
-        """Rows u_0..u_{n_max} sampled on the array x (stable recursion)."""
+    def eigenfunction_rows(self, n_max, x):
+        """Yield u_0..u_{n_max} sampled on the array x, one row at a time.
+
+        The stable three-term recursion holds only its last two rows.
+        """
         x = np.asarray(x, dtype=float)
         xi = math.sqrt(self.k) * x
-        basis = np.empty((n_max + 1, x.size))
-        basis[0] = (self.k / math.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
+        prev = (self.k / math.pi) ** 0.25 * np.exp(-0.5 * xi * xi)
+        yield prev
         if n_max >= 1:
-            basis[1] = math.sqrt(2.0) * xi * basis[0]
-        for n in range(1, n_max):
-            basis[n + 1] = (math.sqrt(2.0 / (n + 1)) * xi * basis[n]
-                            - math.sqrt(n / (n + 1.0)) * basis[n - 1])
-        return basis
+            cur = math.sqrt(2.0) * xi * prev
+            yield cur
+            for n in range(1, n_max):
+                prev, cur = cur, (math.sqrt(2.0 / (n + 1)) * xi * cur
+                                  - math.sqrt(n / (n + 1.0)) * prev)
+                yield cur
+
+    def eigenfunction_basis(self, n_max, x):
+        """Rows u_0..u_{n_max} sampled on the array x (stable recursion)."""
+        return np.array(list(self.eigenfunction_rows(n_max, x)))
 
     def energies(self, n_max):
         """E_0..E_{n_max}, E_n = sqrt((2n+1) k) (positive branch).

@@ -2,10 +2,18 @@
 
 Everything here is self-contained (numpy and the stdlib only): log-gamma
 (math.lgamma behind a domain check), the modified Bessel function K_nu by
-the trapezoid rule on its cosh integral (one table for all orders, nested
-step halving), exactly rounded summation (math.fsum behind a finiteness
-check), composite Simpson quadrature on uniform grids, and a
-Sturm-multisection eigensolver for symmetric tridiagonal matrices.
+the trapezoid rule on its cosh integral (one table for all orders per band
+of z, nested step halving), exactly rounded summation (math.fsum behind a
+finiteness check), composite Simpson quadrature on uniform grids (one
+function or one per row), and a Sturm-multisection eigensolver for
+symmetric tridiagonal matrices.
+
+Bessel K's cost is its tables: a table holds e^{-z cosh t} for its points
+times its nodes.  Small z needs a long cutoff and large z a fine step, so
+bessel_k_many splits the z into bands no wider than a factor _BAND_RATIO,
+and each band takes its own cutoff, step and halvings.  Cells
+(points x nodes, summed over bands) then follow each point's own needs,
+for the price of a few numpy calls per band and halving.
 
 The eigensolver's cost is its Sturm counts.  sturm_count runs the pivot
 recurrence for all shifts at once, a block of rows at a time, so a pass
@@ -47,6 +55,11 @@ __all__ = [
 ]
 
 
+# Float64 cells a kernel holds per block (Sturm pivots, Bessel-K tables):
+# 2^15 cells, 256 KB, so memory stays flat whatever the problem size.
+_BLOCK_CELLS = 1 << 15
+
+
 # ---------------------------------------------------------------------------
 # containers
 
@@ -77,14 +90,18 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples of a function on a uniform grid."""
+    """Complex samples of a function on a uniform grid.
+
+    values holds one function, shape (count,), or one function per row,
+    shape (rows, count).
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.count,):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != self.grid.count:
             raise ValueError("values length must match grid count")
         object.__setattr__(self, "values", vals)
 
@@ -128,6 +145,12 @@ def log_gamma(x):
 
 _BESSEL_TAIL = 46.0  # ln of the relative level the Bessel-K integral may drop
 _HALVINGS = 8  # most step halvings of the Bessel-K trapezoid rule
+# Widest z_max / z_min of one Bessel-K table, the fastest of 2-24 measured
+# on verify_measure_moments: 6 and 12 took 1.03-1.06x its time, 4 and 8
+# 1.10-1.12x, 24 1.14x, 2 1.3x and one unbanded table 1.55x.  Below 8 the
+# 88-point call of the tail ladders (z spanning up to 7.5x) splits in two
+# and runs 1.6x slower.
+_BAND_RATIO = 16.0
 
 
 def _bessel_cutoff(nu_max, z_min):
@@ -147,38 +170,35 @@ def _bessel_cutoff(nu_max, z_min):
     return max(t, 1.0)
 
 
-def bessel_k_many(nu, z):
-    """K_nu(z) for an array of z > 0 and one order or a sequence of orders.
-
-    Integrates e^{-z cosh t} cosh(nu t) on [0, T] by the trapezoid rule,
-    which converges geometrically for this even, analytic integrand
-    (Trefethen & Weideman, SIAM Review 56, 2014).  All orders share one
-    table of e^{-z cosh t}, and each step halving evaluates only the new
-    midpoints and adds them to the running sum.  A scalar nu gives
-    z.shape, a sequence (len(nu),) + z.shape.  Raises OverflowError if a
-    value is not finite and RuntimeError if _HALVINGS halvings of the
-    initial step (<= 0.5) leave a relative change above 1e-13.
-    """
-    orders = np.asarray(nu, dtype=float)
-    if orders.ndim > 1 or np.any(~(orders >= 0.0)):
-        raise ValueError("bessel_k requires nu >= 0")
-    z = np.asarray(z, dtype=float)
-    if np.any(~(z > 0.0)):
-        raise ValueError("bessel_k requires z > 0")
-    nus = np.atleast_1d(orders)
+def _bessel_band(nus, z, z_min):
+    # Trapezoid sums of K_nu(z) for every order in nus and every z of one
+    # band (z_min <= z <= _BAND_RATIO z_min), shape (len(nus), z.size), and
+    # whether the last halving moved each of them by at most 1e-13 relative.
     col = z.reshape(-1, 1)
     nu_max = float(nus.max())
-    t_max = _bessel_cutoff(nu_max, float(z.min()))
+    t_max = _bessel_cutoff(nu_max, z_min)
     # A table entry below e^{-z - 46 - nu_max T} stays below e^{-46} of K's
     # e^{-z} scale even after the cosh(nu t) factor, so raising entries to
     # that floor moves no sum beyond round-off, and it keeps exp off its
     # slow path for results that underflow (7x slower per element).
     floor = -(col + (_BESSEL_TAIL + nu_max * t_max))
+    neg_z = -col
 
     def node_sum(t, w=1.0):
-        # sum over nodes t of w e^{-z cosh t} cosh(nu t), shape (len(nu), z.size)
-        table = np.exp(np.maximum(-col * np.cosh(t), floor))
-        return (table @ (np.cosh(t[:, None] * nus) * w)).T
+        # sum over nodes t of w e^{-z cosh t} cosh(nu t), shape (len(nu), z.size);
+        # the table is built in place, at most _BLOCK_CELLS cells at a time
+        cosh_t = np.cosh(t)
+        weights = np.cosh(t[:, None] * nus) * w
+        out = np.empty((nus.size, z.size))
+        rows = max(1, min(z.size, _BLOCK_CELLS // t.size))
+        block = np.empty((rows, t.size))
+        for lo in range(0, z.size, rows):
+            table = block[:min(rows, z.size - lo)]
+            np.multiply(neg_z[lo:lo + rows], cosh_t, out=table)
+            np.maximum(table, floor[lo:lo + rows], out=table)
+            np.exp(table, table)
+            out[:, lo:lo + rows] = (table @ weights).T
+        return out
 
     intervals = math.ceil(2.0 * t_max)
     h = t_max / intervals
@@ -199,18 +219,65 @@ def bessel_k_many(nu, z):
             val = new
             if converged:
                 break
+    return val, converged
+
+
+def bessel_k_many(nu, z):
+    """K_nu(z) for an array of z > 0 and one order or a sequence of orders.
+
+    Integrates e^{-z cosh t} cosh(nu t) on [0, T] by the trapezoid rule,
+    which converges geometrically for this even, analytic integrand
+    (Trefethen & Weideman, SIAM Review 56, 2014).  All orders share one
+    table of e^{-z cosh t}, and each step halving evaluates only the new
+    midpoints and adds them to the running sum.
+
+    The cutoff T grows as z falls (about acosh(46 / z)), while the step
+    the rule needs shrinks as z grows (the integrand's peak is about
+    1/sqrt(z) wide), so one table for z from 0.06 to 70 would pay the
+    smallest z's T at the largest z's step for every point.  The z are
+    therefore split into bands, each from the smallest z not yet in a band
+    up to _BAND_RATIO times that, and each band gets its own T, initial
+    step (<= 0.5) and halvings.  A band costs points x nodes table cells
+    plus a few numpy calls per halving.  A call whose z span at most a
+    factor _BAND_RATIO is one band, and a band's values equal those of a
+    call on that band alone, bit for bit.  Bands are found by comparisons,
+    not by sorting: numpy's first sort call alone adds 256 KB to the peak
+    RSS.  A scalar nu gives z.shape, a sequence (len(nu),) + z.shape.
+    Raises OverflowError naming nu and z if a value is not finite, and
+    RuntimeError naming the orders and the band's z range if _HALVINGS
+    halvings leave a relative change above 1e-13.
+    """
+    orders = np.asarray(nu, dtype=float)
+    if orders.ndim > 1 or np.any(~(orders >= 0.0)):
+        raise ValueError("bessel_k requires nu >= 0")
+    z = np.asarray(z, dtype=float)
+    if np.any(~(z > 0.0)):
+        raise ValueError("bessel_k requires z > 0")
+    nus = np.atleast_1d(orders)
+    flat = z.ravel()
+    val = np.empty((nus.size, flat.size))
+    rest = np.ones(flat.size, dtype=bool)  # points not yet in a band
+    unsettled = None  # z range of the first band left unconverged
+    while rest.any():
+        z_min = float(flat[rest].min())
+        band = rest & (flat <= _BAND_RATIO * z_min)
+        band_z = flat[band]
+        val[:, band], converged = _bessel_band(nus, band_z, z_min)
+        if not converged and unsettled is None:
+            unsettled = (z_min, float(band_z.max()))
+        rest &= ~band
     bad = ~np.isfinite(val)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise OverflowError(
             f"bessel_k_many: K_nu(z) overflows double precision at "
-            f"nu={nus[i]:g}, z={z.ravel()[j]:g} ({int(bad.sum())} value(s) "
+            f"nu={nus[i]:g}, z={flat[j]:g} ({int(bad.sum())} value(s) "
             "not finite)")
-    if not converged:
+    if unsettled is not None:
         raise RuntimeError(
             f"bessel_k_many: trapezoid rule not converged to 1e-13 after "
             f"{_HALVINGS} halvings for nu={nus.tolist()}, "
-            f"z in [{z.min():g}, {z.max():g}]")
+            f"z in [{unsettled[0]:g}, {unsettled[1]:g}]")
     return val.reshape(nus.shape + z.shape) if orders.ndim else val.reshape(z.shape)
 
 
@@ -231,21 +298,24 @@ def compensated_sum(terms):
 
 
 def quadrature(f):
-    """Integral of a GridFunction by composite Simpson (odd point count only)."""
+    """Integral of a GridFunction by composite Simpson (odd point count only).
+
+    One function gives a complex, rows give an array of one integral per row.
+    """
     n = f.grid.count
     if n % 2 == 0:
         raise ValueError(f"quadrature requires an odd point count, got {n}")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return complex(np.dot(w, f.values) * (f.grid.h / 3.0))
+    total = (f.values @ w) * (f.grid.h / 3.0)
+    return total if total.ndim else complex(total)
 
 
 # ---------------------------------------------------------------------------
 # tridiagonal eigensolver (Sturm bisection)
 
 _PIVMIN = 1e-290
-_BLOCK_CELLS = 1 << 15  # pivots held per block: 2^15 float64 cells, 256 KB
 _PROBES = 16  # fewest shifts per bracket and pass; a pass holds _PROBES per level
 
 

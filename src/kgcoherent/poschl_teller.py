@@ -10,11 +10,15 @@ resolution-of-unity measure weight is a Bessel-K construction whose
 moments are verified numerically: each moment's tail cutoff is the first
 rung of its geometric ladder where the tail bound holds, and the ladders
 of all moments are probed together, one weight call per chunk of eight
-rungs over every moment still open; the integral below the cutoff is the
-package's one Simpson rule (numerics.quadrature) in u = sqrt(x), doubled
-until it settles.  Coherent states take one label or an array of labels,
-and the phase-coherence check one time or an array of times, each in one
-array computation.
+rungs over every moment still open.  The integral below the cutoff is the
+package's one Simpson rule (numerics.quadrature) in u = sqrt(x), on each
+moment's own grid, doubled until it settles.  The Simpson levels are
+batched too: a level is one weight call over the new samples of every
+moment still open and one quadrature call over their rows, in
+s = u / u_max on one unit grid, and numerics.bessel_k_many splits the
+wide z range of such a call into bands.  Coherent states take one label
+or an array of labels, and the phase-coherence check one time or an array
+of times, each in one array computation.
 """
 
 import math
@@ -86,8 +90,11 @@ class PTModel:
                       + (2.0 * lam - 1.0) * math.log(2.0)
                       - math.log(math.pi) - log_gamma(2.0 * lam + n))
 
-    def eigenfunction_basis(self, n_max, x):
-        """Rows u_0..u_{n_max} sampled on the array x."""
+    def eigenfunction_rows(self, n_max, x):
+        """Yield u_0..u_{n_max} sampled on the array x, one row at a time.
+
+        The Gegenbauer recursion holds only its last two polynomials.
+        """
         x = np.asarray(x, dtype=float)
         lam = self.lam
         wx = self.omega * x
@@ -96,18 +103,20 @@ class PTModel:
         c = np.maximum(c, 0.0)
         s = np.sin(wx)
         env = np.where(c > 0.0, c ** lam, 0.0)
-        basis = np.empty((n_max + 1, x.size))
         poly_prev = np.ones_like(x)
-        basis[0] = math.exp(self._log_norm(0)) * env
+        yield math.exp(self._log_norm(0)) * env
         if n_max >= 1:
             poly_cur = 2.0 * lam * s
-            basis[1] = math.exp(self._log_norm(1)) * env * poly_cur
+            yield math.exp(self._log_norm(1)) * env * poly_cur
             for n in range(2, n_max + 1):
                 poly_prev, poly_cur = poly_cur, (
                     2.0 * (n + lam - 1.0) * s * poly_cur
                     - (n + 2.0 * lam - 2.0) * poly_prev) / n
-                basis[n] = math.exp(self._log_norm(n)) * env * poly_cur
-        return basis
+                yield math.exp(self._log_norm(n)) * env * poly_cur
+
+    def eigenfunction_basis(self, n_max, x):
+        """Rows u_0..u_{n_max} sampled on the array x."""
+        return np.array(list(self.eigenfunction_rows(n_max, x)))
 
 
 def ladder_coeff(n, lam):
@@ -144,11 +153,13 @@ class PTCoherentState:
 
 
 def _log_weights(lam, n_max):
-    # log of [1 / (n! (n+lam) Gamma(2 lam + n))]^(1/2) without the lam*Gamma(2 lam) factor
+    # log of [1 / (n! (n+lam) Gamma(2 lam + n))]^(1/2) without the lam*Gamma(2 lam) factor,
+    # from log n! + log Gamma(2 lam + n) = log Gamma(2 lam) + sum_{k<n} log((k + 1)(2 lam + k))
     n = np.arange(n_max + 1.0)
-    log_gammas = [math.lgamma(a) + math.lgamma(b)
-                  for a, b in zip((n + 1.0).tolist(), (n + 2.0 * lam).tolist())]
-    return -0.5 * (np.array(log_gammas) + np.log(n + lam))
+    steps = np.empty(n.size)
+    steps[0] = math.lgamma(2.0 * lam)
+    steps[1:] = np.log((n[:-1] + 1.0) * (n[:-1] + 2.0 * lam))
+    return -0.5 * (np.cumsum(steps) + np.log(n + lam))
 
 
 def coherent_coefficients(model, alpha, truncation=60):
@@ -241,14 +252,13 @@ def measure_weight(model, x):
     """
     lam = model.lam
     nu = 2.0 * lam - 1.0
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     if np.any(~(x > 0.0)):
         raise ValueError("measure_weight requires x > 0")
     z = 2.0 * np.sqrt(x)
     k_lo, k_mid, k_hi = bessel_k_many((nu - 1.0, nu, nu + 1.0), z)
     vals = x ** lam * (k_lo + k_hi) - x ** (lam - 0.5) * k_mid
-    return float(vals[0]) if scalar else vals
+    return vals if vals.ndim else float(vals)
 
 
 def moment_target(model, n):
@@ -290,31 +300,52 @@ def _moment_cutoffs(model, tol, targets, weight):
         f"moment n={lowest}: tail bound not met up to x={ladders[lowest, -1]:g}")
 
 
-def _moment_integral(model, n, x_cut, tol, target, weight):
-    """Integral of x^n * weight over (0, x_cut] via x = u^2 and Simpson doubling.
+def _moment_integrals(model, tol, targets, cutoffs, weight):
+    """Integrals of x^n * weight over (0, cutoffs[n]] for each moment n.
 
-    Starts from 256 intervals and doubles at most 6 times, evaluating only
-    the new midpoints.  The integrand 2 u^{2n+1} W(u^2) vanishes at u = 0
-    for both weights, so that sample is 0 rather than a call at x = 0.
+    With x = u^2, moment n integrates 2 u^{2n+1} W(u^2) on u in [0, u_n],
+    u_n = sqrt(cutoffs[n]), by the Simpson rule in s = u / u_n on one unit
+    grid.  Every moment keeps its own nodes: with a power-of-two interval
+    count, u_n s rounds exactly as a grid on [0, u_n] would.  All moments
+    start from 256 intervals, and those whose value moved by more than
+    0.1 tol target at the last doubling double again, at most 6 times,
+    evaluating only the new midpoints.  Each level is one weight call over
+    the new samples of every moment still open, and one quadrature call
+    over their rows.  The integrand vanishes at u = 0 for both weights, so
+    that sample is 0 rather than a call at x = 0.  Returns the values and
+    whether each moment converged.
     """
-    def integrand(u):
-        return 2.0 * u ** (2 * n + 1) * weight(model, u * u)
+    n = np.arange(len(targets))
+    u_max = np.sqrt(cutoffs)[:, None]
+    bounds = 0.1 * tol * np.asarray(targets, dtype=float)
 
-    grid = Grid(0.0, math.sqrt(x_cut), 257)
-    f = np.zeros(grid.count)
-    f[1:] = integrand(grid.points()[1:])
-    value = quadrature(GridFunction(grid, f)).real
+    def integrand(rows, s):
+        u = u_max[rows] * s
+        w = weight(model, (u * u).ravel()).reshape(u.shape)
+        return 2.0 * u ** (2 * rows + 1)[:, None] * w
+
+    def integrate(rows, grid, f):
+        return u_max[rows, 0] * quadrature(GridFunction(grid, f)).real
+
+    grid = Grid(0.0, 1.0, 257)
+    f = np.zeros((n.size, grid.count))
+    f[:, 1:] = integrand(n, grid.points()[1:])
+    values = integrate(n, grid, f)
+    converged = np.zeros(n.size, dtype=bool)
+    open_n = n
     for _ in range(6):
-        grid = Grid(0.0, grid.x_max, 2 * grid.count - 1)
-        fine = np.empty(grid.count)
-        fine[0::2] = f
-        fine[1::2] = integrand(grid.points()[1::2])
-        f = fine
-        new_value = quadrature(GridFunction(grid, f)).real
-        if abs(new_value - value) <= 0.1 * tol * target:
-            return new_value, True
-        value = new_value
-    return value, False
+        grid = Grid(0.0, 1.0, 2 * grid.count - 1)
+        fine = np.empty((open_n.size, grid.count))
+        fine[:, 0::2] = f
+        fine[:, 1::2] = integrand(open_n, grid.points()[1::2])
+        new_values = integrate(open_n, grid, fine)
+        done = np.abs(new_values - values[open_n]) <= bounds[open_n]
+        values[open_n] = new_values
+        converged[open_n[done]] = True
+        open_n, f = open_n[~done], fine[~done]
+        if not open_n.size:
+            break
+    return values, converged
 
 
 def verify_measure_moments(model, n_max=10, tol=1e-6, weight=None):
@@ -331,9 +362,10 @@ def verify_measure_moments(model, n_max=10, tol=1e-6, weight=None):
         weight = measure_weight
     targets = [moment_target(model, n) for n in range(n_max + 1)]
     cutoffs = _moment_cutoffs(model, tol, targets, weight)
+    values, flags = _moment_integrals(model, tol, targets, cutoffs, weight)
     report = []
-    for n, (target, x_cut) in enumerate(zip(targets, cutoffs.tolist())):
-        value, converged = _moment_integral(model, n, x_cut, tol, target, weight)
+    for n, (target, value, converged) in enumerate(
+            zip(targets, values.tolist(), flags.tolist())):
         rel_err = abs(value - target) / target
         report.append({
             "n": n,

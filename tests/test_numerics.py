@@ -117,10 +117,45 @@ class TestBesselK:
         for row, nu in zip(many, nus):
             np.testing.assert_allclose(row, bessel_k_many(nu, z), rtol=1e-14)
 
+    @pytest.mark.parametrize("nus", [2.3, (1.3, 2.3, 3.3)])
+    def test_wide_call_matches_scipy(self, nus):
+        # z over six decades: many bands, each with its own cutoff and step;
+        # K underflows past z ~ 700, where both sides read 0 or subnormal
+        z = np.geomspace(1e-3, 1e3, 241)
+        want = kv(np.reshape(nus, (-1, 1)), z).reshape(np.shape(nus) + z.shape)
+        np.testing.assert_allclose(bessel_k_many(nus, z), want, rtol=1e-13,
+                                   atol=np.finfo(float).tiny)
+
+    def test_band_equals_call_on_band_alone(self):
+        # reference bands: each from its smallest z up to _BAND_RATIO times it
+        nus = (1.3, 2.3, 3.3)
+        z = np.geomspace(1e-3, 1e3, 241)
+        whole = bessel_k_many(nus, z)
+        bands = 0
+        start = 0
+        while start < z.size:
+            stop = start + int(np.sum(z[start:] <= numerics._BAND_RATIO * z[start]))
+            np.testing.assert_array_equal(whole[:, start:stop],
+                                          bessel_k_many(nus, z[start:stop]))
+            bands += 1
+            start = stop
+        assert bands >= 5
+        # the input order does not change which points share a table, and
+        # values return to their own places; a point's row within the
+        # table's matrix product may change its last bit
+        perm = np.random.default_rng(5).permutation(z.size)
+        np.testing.assert_allclose(bessel_k_many(nus, z[perm]), whole[:, perm],
+                                   rtol=1e-15, atol=0.0)
+
     def test_overflow_raises(self):
         # K_200(5) = 4.9e292, but cosh(200 t) overflows inside the integral
         with pytest.raises(OverflowError, match=r"nu=200.*z=1"):
             bessel_k_many(200.0, [1.0, 5.0])
+        # in a call of several bands the message names the first bad z in
+        # the caller's order; z = 100 and 300 share a band that converges
+        with pytest.raises(OverflowError,
+                           match=r"nu=200, z=20 \(2 value\(s\) not finite\)"):
+            bessel_k_many((0.5, 200.0), [300.0, 100.0, 20.0, 5.0])
 
     def test_unconverged_raises(self, monkeypatch):
         # one halving of the 0.5 step leaves a change near 1e-9 here; the
@@ -128,6 +163,11 @@ class TestBesselK:
         monkeypatch.setattr(numerics, "_HALVINGS", 1)
         with pytest.raises(RuntimeError, match=r"not converged.*nu=\[1.5\].*z in \[2, 3\]"):
             bessel_k_many(1.5, [2.0, 3.0])
+        # three halvings settle z <= 40 but not z = 100: the message names
+        # the band that failed, not the whole call
+        monkeypatch.setattr(numerics, "_HALVINGS", 3)
+        with pytest.raises(RuntimeError, match=r"nu=\[1.5\].*z in \[40, 120\]"):
+            bessel_k_many(1.5, [120.0, 0.01, 1.0, 2.0, 40.0, 100.0])
 
 
 class TestCompensatedSum:

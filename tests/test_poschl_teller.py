@@ -362,6 +362,15 @@ class TestMeasure:
         x = np.geomspace(1e-3, 200.0, 200)
         assert np.all(measure_weight(m, x) > 0.0)
 
+    @pytest.mark.parametrize("weight", [measure_weight, g_weight])
+    def test_weight_keeps_input_shape(self, weight):
+        # a number or a 0-d array gives a float, an array its own shape
+        m = PTModel(1, 1)
+        x = np.array([[0.5, 2.0], [7.0, 30.0]])
+        assert weight(m, np.array(2.0)) == weight(m, 2.0)
+        assert isinstance(weight(m, np.array(2.0)), float)
+        np.testing.assert_array_equal(weight(m, x), weight(m, x.ravel()).reshape(2, 2))
+
     def test_weight_domain(self):
         with pytest.raises(ValueError):
             measure_weight(PTModel(1, 1), -1.0)
@@ -415,17 +424,23 @@ class TestMeasure:
                 value = new
             return value, False
 
-        model = PTModel(1.3, 0.7)
-        targets = [pt.moment_target(model, n) for n in range(11)]
-        cutoffs = pt._moment_cutoffs(model, 1e-6, targets, weight)
-        for n in (0, 3, 10):
-            target, x_cut = targets[n], float(cutoffs[n])
-            got, got_converged = pt._moment_integral(
-                model, n, x_cut, 1e-6, target, weight)
-            want, want_converged = interleaved(model, n, x_cut, 1e-6, target)
-            # same samples up to rounding of the nodes, summed in another order
-            assert got == pytest.approx(want, rel=0.0, abs=1e-14 * target)
-            assert got_converged == want_converged
+        # lambda = 2.42, 1.0001 and 10.5, on the cutoffs of tol 1e-6.  The
+        # batched levels drop moments as they settle: at 1.0001 moment 0
+        # needs three doublings, and at 10.5 integrated to tol 1e-8 a higher
+        # moment stays open after a lower one
+        for m, omega, tol in ((1.3, 0.7, 1e-6), (0.02, 2.0, 1e-6),
+                              (5.0, 0.5, 1e-6), (5.0, 0.5, 1e-8)):
+            model = PTModel(m, omega)
+            targets = [pt.moment_target(model, n) for n in range(11)]
+            cutoffs = pt._moment_cutoffs(model, 1e-6, targets, weight)
+            values, flags = pt._moment_integrals(model, tol, targets, cutoffs,
+                                                 weight)
+            for n, (target, x_cut) in enumerate(zip(targets, cutoffs.tolist())):
+                want, want_converged = interleaved(model, n, x_cut, tol, target)
+                # same nodes; the weight's Bessel tables and the sums are
+                # batched differently, so the values agree to rounding
+                assert values[n] == pytest.approx(want, rel=0.0, abs=1e-14 * target)
+                assert flags[n] == want_converged
 
     def test_cutoff_unmet_raises(self):
         # x^-2.6 decays fast enough for the tail bounds of n = 0 and 1 on the
