@@ -7,6 +7,9 @@ sidecar, so every emitted file records the exact configuration that
 produced it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
+state, evolve and figures exit 2 when the truncation drops more than
+TAIL_BOUND of the coherent state's norm, naming the smallest --trunc that
+keeps it; state reports the dropped norm as tail_mass.
 Every setting is a flag whose default lives in build_parser, except those
 that depend on --model: --k (linear only) and --omega (pt only) default to
 their model's field, and state --trunc resolves to 50 or 60 by model.
@@ -16,6 +19,7 @@ KGCOHERENT_OUTDIR overrides the directory of relative output paths.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,6 +29,10 @@ from . import linear_osc, poschl_teller, verify
 from . import oracle as oracle_mod
 
 CSV_HEADER = "t,dx,dp,product,ex,ep"
+# Most norm a truncated coherent state may drop (state, evolve, figures): the
+# eigenstate residual bound of `verify coherence`, and far below the nine
+# digits the series CSV prints.
+TAIL_BOUND = 1e-10
 
 
 FIGURES = {
@@ -98,6 +106,48 @@ def _model_config(model):
     return {"model": "pt", "m": model.m, "omega": model.omega}
 
 
+def _tail_masses(model, alpha, n_max):
+    """Norm dropped by truncating the coherent state at N = 0..n_max.
+
+    A linear state keeps its Poisson weights |c_n|^2, so it drops their sum
+    over n > N, taken here over N < n <= n_max from the smallest term up
+    (the caller picks n_max past the mass that matters).  A PT state is
+    renormalized over n <= N, and its weights fall by
+    at most q_n = |alpha|^2 / ((n + 1)(n + 2 lambda)) per step, so it drops
+    at most |c_N|^2 q_N / (1 - q_N); while q_N >= 1 there is no bound (inf).
+    """
+    if isinstance(model, linear_osc.LinearModel):
+        c = linear_osc.coherent_coefficients(linear_osc.CoherentSpec(alpha, n_max))
+        return np.append(np.cumsum(np.abs(c[:0:-1]) ** 2)[::-1], 0.0)
+    weight = np.abs(
+        poschl_teller.coherent_coefficients(model, alpha, n_max).coefficients) ** 2
+    n = np.arange(n_max + 1.0)
+    q = abs(alpha) ** 2 / ((n + 1.0) * (n + 2.0 * model.lam))
+    with np.errstate(divide="ignore"):
+        return np.where(q < 1.0, weight / np.cumsum(weight) * q / (1.0 - q), np.inf)
+
+
+def _checked_tail(model, alpha, truncation):
+    """The norm a truncation drops; UsageError naming the smallest passing
+    --trunc if it is above TAIL_BOUND."""
+    # A Poisson count exceeds its mean mu by t with probability at most
+    # exp(-t^2 / (2 (mu + t/3))) (Bernstein), so past `reach` that is below
+    # TAIL_BOUND^2, which the linear sums may leave out; PT weights fall faster.
+    mu = abs(alpha) ** 2
+    log_b = -2.0 * math.log(TAIL_BOUND)
+    reach = math.ceil(mu + log_b / 3.0
+                      + math.sqrt(log_b ** 2 / 9.0 + 2.0 * log_b * mu))
+    tails = _tail_masses(model, alpha, truncation + reach)
+    if tails[truncation] <= TAIL_BOUND:
+        return float(tails[truncation])
+    passing = np.flatnonzero(tails[1:] <= TAIL_BOUND)
+    drop = (f"drops {tails[truncation]:.3g} of" if np.isfinite(tails[truncation])
+            else "cannot bound the part it drops of")
+    raise UsageError(
+        f"--trunc {truncation} {drop} the state's norm at |alpha| = {abs(alpha):g}, "
+        f"above {TAIL_BOUND:g}; the smallest --trunc that passes is {passing[0] + 1}")
+
+
 def _series_csv(model, alpha, truncation, t0, t1, dt):
     spec = linear_osc.CoherentSpec(alpha, truncation)
     t_grid = np.arange(t0, t1 + 0.5 * dt, dt)
@@ -135,6 +185,7 @@ def cmd_state(args):
     else:
         truncation = 60 if truncation is None else truncation
         c = poschl_teller.coherent_coefficients(model, alpha, truncation).coefficients
+    tail = _checked_tail(model, alpha, truncation)
     cum = np.cumsum(np.abs(c) ** 2)
     rows = [{"n": int(n), "re": c[n].real, "im": c[n].imag,
              "abs2": float(abs(c[n]) ** 2), "cumulative_norm": float(cum[n])}
@@ -142,6 +193,7 @@ def cmd_state(args):
     payload = {
         "config": {**_model_config(model),
                    "alpha": [alpha.real, alpha.imag], "trunc": truncation},
+        "tail_mass": tail,
         "coefficients": rows,
     }
     _write_text(_out_path(args.output), _json_dumps(payload))
@@ -155,6 +207,7 @@ def cmd_evolve(args):
     alpha = parse_alpha(args.alpha)
     if not (args.t0 < args.t1 and args.dt > 0.0 and args.trunc >= 1):
         raise UsageError("require t0 < t1, dt > 0, trunc >= 1")
+    _checked_tail(model, alpha, args.trunc)
     _write_text(_out_path(args.output),
                 _series_csv(model, alpha, args.trunc, args.t0, args.t1, args.dt))
     return 0
@@ -222,11 +275,15 @@ def cmd_oracle(args):
         "config": {**_model_config(model), "levels": count, "points": args.points},
         "passed": bool(ok),
         "max_rel_error": rep["max_rel_error"],
+        "max_rel_error_extrapolated": rep["max_rel_error_extrapolated"],
         "convergence_order": rep["convergence_order"],
         "sturm_passes": rep["sturm_passes"],
         "levels": [{"n": i, "fd": float(rep["energies_fd"][i]),
                     "analytic": float(rep["energies_analytic"][i]),
-                    "rel_error": float(rep["rel_errors"][i])}
+                    "rel_error": float(rep["rel_errors"][i]),
+                    "extrapolated": float(rep["energies_extrapolated"][i]),
+                    "rel_error_extrapolated":
+                        float(rep["rel_errors_extrapolated"][i])}
                    for i in range(count)],
     }
     _write_text(_out_path(args.output), _json_dumps(payload))

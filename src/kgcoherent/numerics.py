@@ -25,11 +25,15 @@ pivot but the last, so a pass steps only about n/2 rows.
 
 So the eigensolver saves passes, not shifts.  Levels that share a bracket
 share its probes; the first pass places a geometric ladder about 0 over
-the whole Gershgorin bracket; and once a bracket isolates one eigenvalue,
-half its probes step out from a regula-falsi point on log|det(T - x)|,
-which sturm_count sums from the pivots it already holds.  The other half
-stay uniform, so every later pass shrinks every bracket at least 9x, and
-only Sturm counts ever move a bracket: the regula-falsi point is a place to
+the whole Gershgorin bracket (about a hint's midpoint, given hints); and
+once a bracket isolates one eigenvalue, half its probes step out from an
+anchor x*, the zero of an inverse quadratic through the signed
+determinant at the bracket's ends and one outside probe, which
+sturm_count's log|det(T - x)| gives from the pivots it already holds.
+The innermost pair of a ladder sits at x* -/+ 0.45 tol, so an anchor
+within that of its eigenvalue closes the bracket in that pass.  The other
+half of the probes stay uniform, so every later pass shrinks every bracket
+at least 9x, and only Sturm counts ever move a bracket: x* is a place to
 look, never an answer, and the result is the midpoint of a bracket of
 width at most tol, as with plain multisection.  Floating-point Sturm
 counts from the guarded recurrence are monotone in the shift in practice
@@ -330,6 +334,27 @@ def _pivot_rows(off2, piv, rows, guard):
             row[np.abs(row) < _PIVMIN] = -_PIVMIN
 
 
+def _add_log_abs(rows, total, grouped, ones, groups):
+    # total += the column sums of log|rows|, overwriting rows.  `grouped`
+    # says no |pivot| is below 2^-120, so no partial product of eight of
+    # them underflows; then one log per product of eight rows does, unless
+    # a product overflows, which leaves a sum that is not finite.  Column
+    # sums are matrix-vector products: numpy's sum over the first axis of a
+    # few columns takes about twice as long.
+    np.abs(rows, rows)
+    q = len(rows) // 8 if grouped else 0
+    if q:
+        product = np.multiply.reduce(rows[:8 * q].reshape(8, q, -1), axis=0,
+                                     out=groups[:q])
+        np.log(product, product)
+        part = ones[:q] @ product
+        if np.isfinite(part).all():
+            total += part
+            rows = rows[8 * q:]
+    np.log(rows, rows)
+    total += ones[:len(rows)] @ rows
+
+
 def sturm_count(matrix, x, logdet=None):
     """Number of eigenvalues of `matrix` strictly below each shift in x.
 
@@ -360,10 +385,12 @@ def sturm_count(matrix, x, logdet=None):
     receives log|det(T - x)|, the sum of log|d_i| over the guarded pivots
     (2 L_shared + log|last pivots| for a folded matrix).  It is taken once
     per block, in place, after the block is counted, so it adds no row
-    steps.  Its value is only as good as the pivots: where they cancel it
-    may be off by far more than a rounding, so use it as a hint, never to
-    decide a count.  Non-finite shifts raise ValueError; an empty x gives
-    an empty count.
+    steps: while no pivot of a block is below 2^-120 in magnitude and no
+    product overflows, it is one log per product of eight pivots, else one
+    per pivot.  Its value is only as good as the pivots: where they cancel
+    it may be off by far more than a rounding, so use it as a hint, never
+    to decide a count.  Non-finite shifts raise ValueError; an empty x
+    gives an empty count.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bad = ~np.isfinite(x)
@@ -386,21 +413,24 @@ def sturm_count(matrix, x, logdet=None):
     piv = np.empty((block_rows + 1, x.size))
     piv[0] = 1.0
     count = np.zeros(x.size, dtype=np.int64)
+    if logdet is not None:
+        ones = np.ones(block_rows)
+        groups = np.empty((block_rows // 8, x.size))
     with np.errstate(all="ignore"):
         for start in range(0, steps, block_rows):
             stop = min(start + block_rows, steps)
             rows = piv[1:stop - start + 1]
             np.subtract(diag[start:stop, None], x, out=rows)
             _pivot_rows(off2[start:stop], piv, rows, guard=False)
-            if not (np.abs(rows).min() >= _PIVMIN):
+            smallest = np.abs(rows).min()
+            if not smallest >= _PIVMIN:
                 np.subtract(diag[start:stop, None], x, out=rows)
                 _pivot_rows(off2[start:stop], piv, rows, guard=True)
+                smallest = _PIVMIN  # the guard leaves every |pivot| at least this
             count += np.count_nonzero(rows < 0.0, axis=0)
             piv[0] = rows[-1]
             if logdet is not None:
-                np.abs(rows, rows)
-                np.log(rows, rows)
-                logdet += rows.sum(axis=0)
+                _add_log_abs(rows, logdet, smallest >= 2.0 ** -120, ones, groups)
         if not folded:
             return count
         if n % 2:
@@ -429,18 +459,44 @@ def _max_rounds(width, tol):
 
 
 def _ladder(centre, lo, hi, near, k):
-    # k shifts per bracket in (lo, hi) whose distances from `centre` step
-    # by one ratio, from `near` (or the bracket's nearest point) out to the
-    # bracket's ends.  The two sides of the centre share the k rungs in
-    # proportion to the decades they span.
+    # k shifts per bracket in (lo, hi) on one geometric ladder per side of
+    # `centre`, each stepping by its own ratio out to the bracket's far end;
+    # the sides share the k rungs in proportion to the decades they span.
+    # Where the centre lies inside the bracket the innermost rungs are
+    # centre -/+ near; a side that starts at a bracket end starts half a
+    # step in from it, so no rung repeats the end.
     near_l = np.maximum(centre - hi, near)
     near_r = np.maximum(lo - centre, near)
     span_l = np.log(np.maximum(centre - lo, near_l) / near_l)
     span_r = np.log(np.maximum(hi - centre, near_r) / near_r)
-    t = (span_l + span_r)[:, None] * ((np.arange(k) + 0.5) / k)
-    span_l, centre = span_l[:, None], centre[:, None]
-    return np.where(t < span_l, centre - near_l[:, None] * np.exp(span_l - t),
-                    centre + near_r[:, None] * np.exp(t - span_l))
+    total = span_l + span_r
+    share = np.rint(k * span_l / np.where(total > 0.0, total, 1.0))
+    k_l = np.clip(share, 1.0 * (span_l > 0.0), k - 1.0 * (span_r > 0.0))[:, None]
+    j = np.arange(k)
+    left = j < k_l
+    rung = np.where(left, k_l - 1 - j, j - k_l)
+    start = 0.5 * np.where(left, near_l[:, None] > near, near_r[:, None] > near)
+    span = np.where(left, span_l[:, None], span_r[:, None])
+    dist = np.where(left, near_l[:, None], near_r[:, None]) * np.exp(
+        span * (rung + start) / np.maximum(np.where(left, k_l, k - k_l), 1.0))
+    return np.where(left, centre[:, None] - dist, centre[:, None] + dist)
+
+
+def _anchor(lo, hi, l_lo, l_hi, x3, l3, below):
+    # Where to look for an isolated bracket's eigenvalue: the zero of the
+    # inverse quadratic through the signed determinant (-1)^count e^(L - L_max)
+    # at lo, hi and x3, an outside point with the count of lo (`below`) or
+    # of hi; where that fit is not finite or leaves (lo, hi), the
+    # regula-falsi point of lo and hi.  The Lagrange weights of x(f) at
+    # f = 0 are taken relative to lo, so x* keeps lo's digits.
+    top = np.fmax(np.fmax(l_lo, l_hi), l3)
+    f0 = np.exp(l_lo - top)
+    f1 = -np.exp(l_hi - top)
+    f2 = np.where(below, 1.0, -1.0) * np.exp(l3 - top)
+    x = lo + ((hi - lo) * (f0 * f2 / ((f1 - f0) * (f1 - f2)))
+              + (x3 - lo) * (f0 * f1 / ((f2 - f0) * (f2 - f1))))
+    secant = lo + (hi - lo) / (1.0 + np.exp(l_hi - l_lo))
+    return np.where(np.isfinite(x) & (x > lo) & (x < hi), x, secant)
 
 
 def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
@@ -456,18 +512,23 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
     whatever the number of shifts (see sturm_count).  After a pass every
     level takes the tightest bracket its probes give.
 
-    - The first pass puts a bracket's probes on a geometric ladder about 0
-      (|x| from tol/2 to the bracket's ends), which finds eigenvalues of
-      any scale within a large Gershgorin bracket in one pass.
+    - A ladder about a centre c has one geometric run of probes per side,
+      from c -/+ 0.45 tol out to the bracket's ends, so an eigenvalue
+      within 0.45 tol of c ends in a bracket narrower than tol.
+    - The first pass puts a bracket's probes on a ladder about 0, which
+      finds eigenvalues of any scale within a large Gershgorin bracket in
+      one pass, or, given `brackets`, about each hint's midpoint.
     - Every later pass puts half of a bracket's probes uniformly inside it,
       so each pass shrinks each bracket at least 9x, and the other half on
       a ladder: about 0 again, unless the bracket isolates its level
       (count(lo) = j - 1, count(hi) = j) with finite L = log|det(T - x)| at
-      both ends.  Then the ladder steps out from the regula-falsi point
-      x* = lo + (hi - lo) / (1 + exp(L_hi - L_lo)) from tol/2 to the
-      bracket's width, so a good x* closes the bracket in one pass.  x*
-      only places probes and is never returned, so a noisy L costs passes,
-      never accuracy.
+      both ends.  Then the ladder is about the anchor x*: the zero of the
+      inverse quadratic through f = (-1)^count e^(L - L_max) at lo, hi and
+      the last pass's nearest probe outside (lo, hi) whose count equals
+      that of the end next to it, or, where that fit is not finite or
+      leaves the bracket, the regula-falsi point
+      lo + (hi - lo) / (1 + exp(L_hi - L_lo)).  x* only places probes and
+      is never returned, so a noisy L costs passes, never accuracy.
 
     Brackets are narrowed to width <= tol (or until no float lies strictly
     inside), in at most the passes whose guaranteed shrink takes the
@@ -476,11 +537,11 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
 
     `brackets`, if given, is a (lo, hi) pair of per-eigenvalue starting
     intervals (e.g. from a coarser discretization).  The first pass probes
-    their ends and ladders inside them, and a level whose hint misses its
-    eigenvalue keeps the bracket the first pass's probes give it, at worst
-    the Gershgorin bracket, so a poor hint costs time but never
-    correctness.  `stats`, if given, is a dict that receives the number of
-    Sturm passes under "passes"; the solve is the same either way.
+    their ends and ladders about their midpoints, and a level whose hint
+    misses its eigenvalue keeps the bracket the first pass's probes give
+    it, at worst the Gershgorin bracket, so a poor hint costs time but
+    never correctness.  `stats`, if given, is a dict that receives the
+    number of Sturm passes under "passes"; the solve is the same either way.
     """
     n = matrix.dim
     if not (1 <= count <= n):
@@ -501,6 +562,10 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
     c_hi = np.full(count, n, dtype=np.int64)
     l_lo = np.full(count, np.nan)
     l_hi = np.full(count, np.nan)
+    # the third anchor point, beside lo if `below`, else beside hi
+    x3 = np.full(count, np.nan)
+    l3 = np.full(count, np.nan)
+    below = np.zeros(count, dtype=bool)
     if brackets is None:
         place_lo, place_hi, ends = lo, hi, np.empty(0)
     else:
@@ -512,7 +577,7 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
         ends = np.concatenate([place_lo, place_hi])
     is_open = np.ones(count, dtype=bool)
     passes = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while is_open.any() and passes < rounds:
             # distinct open brackets, each placed by its lowest level
             pairs, first = np.unique(
@@ -524,18 +589,23 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
             rungs = per if passes == 0 else per // 2
             uniform = per - rungs
             width = b_hi - b_lo
-            centre = np.zeros(b_lo.size)
             if passes:
                 # ladders about x* in isolated brackets, about 0 elsewhere
-                dl = l_hi[level] - l_lo[level]
                 isolated = ((c_lo[level] == want[level] - 1)
-                            & (c_hi[level] == want[level]) & np.isfinite(dl))
-                centre = np.where(isolated, b_lo + width / (1.0 + np.exp(dl)), 0.0)
+                            & (c_hi[level] == want[level])
+                            & np.isfinite(l_hi[level] - l_lo[level]))
+                centre = np.where(isolated, _anchor(
+                    b_lo, b_hi, l_lo[level], l_hi[level], x3[level],
+                    l3[level], below[level]), 0.0)
+            elif brackets is None:
+                centre = np.zeros(b_lo.size)
+            else:  # a hinted first pass
+                centre = 0.5 * (b_lo + b_hi)
             frac = np.arange(1, uniform + 1) / (uniform + 1)
             probes = np.concatenate([
                 ends,
                 (b_lo[:, None] + width[:, None] * frac).ravel(),
-                _ladder(centre, b_lo, b_hi, 0.5 * tol, rungs).ravel()])
+                _ladder(centre, b_lo, b_hi, 0.45 * tol, rungs).ravel()])
             probes.sort()
             logdet = np.empty(probes.size)
             c = sturm_count(matrix, probes, logdet)
@@ -556,6 +626,20 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
             lo = np.where(got, probes[k], lo)
             c_lo = np.where(got, c[k], c_lo)
             l_lo = np.where(got, logdet[k], l_lo)
+            # the third anchor point: the nearer of the probes just outside
+            # (lo, hi) whose count is that of the bracket end next to it
+            above = np.minimum(np.searchsorted(probes, hi, side="right"),
+                               probes.size - 1)
+            under = np.maximum(np.searchsorted(probes, lo) - 1, 0)
+            gap_above = np.where((probes[above] > hi) & (c[above] == c_hi),
+                                 probes[above] - hi, np.inf)
+            gap_under = np.where((probes[under] < lo) & (c[under] == c_lo),
+                                 lo - probes[under], np.inf)
+            below = gap_under < gap_above
+            k = np.where(below, under, above)
+            x3 = probes[k]
+            l3 = np.where(np.minimum(gap_above, gap_under) < np.inf,
+                          logdet[k], np.nan)
             # a bracket wider than tol must at least have no float inside
             is_open = (hi - lo > tol) & (np.nextafter(lo, np.inf) < hi)
             place_lo, place_hi, ends = lo, hi, np.empty(0)

@@ -110,7 +110,11 @@ def spectrum_compare(spec, analytic_energies, n_count):
     Converts FD eigenvalues to energies via E = sqrt(2 m epsilon), reports
     relative errors on the fine grid and the empirical convergence order
     from the coarse/fine pair.  Orders below 1.5 mark the run as failed.
-    "sturm_passes" holds the Sturm passes of the coarse and fine solves.
+    "energies_extrapolated" removes the scheme's h^2 term by Richardson
+    extrapolation, (4 E_fine - E_coarse) / 3 for REFINE_FACTOR 2, so its
+    relative errors show what the two solves' tolerance and the O(h^4)
+    remainder leave.  "sturm_passes" holds the Sturm passes of the coarse
+    and fine solves.
     """
     analytic = np.asarray(analytic_energies, dtype=float)
     if n_count > min(20, analytic.size):
@@ -126,8 +130,11 @@ def spectrum_compare(spec, analytic_energies, n_count):
         brackets=(eps_coarse - width, eps_coarse + width), stats=fine)
     e_coarse = np.sqrt(2.0 * spec.m * eps_coarse)
     e_fine = np.sqrt(2.0 * spec.m * eps_fine)
+    r2 = REFINE_FACTOR ** 2
+    e_extrap = (r2 * e_fine - e_coarse) / (r2 - 1)
     err_coarse = np.abs(e_coarse - analytic) / analytic
     err_fine = np.abs(e_fine - analytic) / analytic
+    err_extrap = np.abs(e_extrap - analytic) / analytic
     with np.errstate(divide="ignore", invalid="ignore"):
         orders = np.log(err_coarse / err_fine) / math.log(REFINE_FACTOR)
     orders = orders[np.isfinite(orders)]
@@ -138,6 +145,9 @@ def spectrum_compare(spec, analytic_energies, n_count):
         "energies_analytic": analytic,
         "rel_errors": err_fine,
         "max_rel_error": float(np.max(err_fine)),
+        "energies_extrapolated": e_extrap,
+        "rel_errors_extrapolated": err_extrap,
+        "max_rel_error_extrapolated": float(np.max(err_extrap)),
         "convergence_order": order,
         "converged": bool(order >= 1.5),
         "sturm_passes": {"coarse": coarse["passes"], "fine": fine["passes"]},

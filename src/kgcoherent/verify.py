@@ -21,6 +21,12 @@ PT_TRUNCATION = 60       # PT coherent-state truncation (coherence)
 LINEAR_TRUNCATION = 50   # linear coherent-state truncation (coherence, oracle)
 MEASURE_N_MAX = 10       # highest measure moment checked
 MEASURE_TOL = 1e-6       # relative tolerance of each measure moment
+# Relative error of the Richardson-extrapolated FD energies.  The Sturm solver
+# returns each epsilon within tol/2 (its default tol is 1e-10), which moves
+# E = sqrt(2 m epsilon) by tol / (4 epsilon) relative; (4 E_fine - E_coarse) / 3
+# carries 5/3 of that, at most (5/6) tol for epsilon >= 1/2, as every level
+# checked is.  The bound allows as much again for the O(h^4) remainder.
+RICHARDSON_BOUND = 5.0 / 3.0 * 1e-10
 
 
 def _check(name, value, bound, passed=None):
@@ -31,7 +37,11 @@ def _check(name, value, bound, passed=None):
 
 
 def verify_spectra():
-    """FD eigensolver vs analytic spectra: linear, PT, and PT with lambda near 1."""
+    """FD eigensolver vs analytic spectra: linear, PT, and PT with lambda near 1.
+
+    The linear and PT (1, 1) spectra are also checked after Richardson
+    extrapolation, at RICHARDSON_BOUND.
+    """
     checks = []
     lin = linear_osc.LinearModel(1.0, 1.0)
     ptm = poschl_teller.PTModel(1.0, 1.0)
@@ -46,6 +56,10 @@ def verify_spectra():
         checks.append(_check(f"{name}_fd_max_rel_error", rep["max_rel_error"], 1e-3))
         checks.append(_check(f"{name}_fd_convergence_order", order, 2.2,
                              passed=1.8 <= order <= 2.2))
+        if model is not ptl:
+            checks.append(_check(f"{name}_richardson_max_rel_error",
+                                 rep["max_rel_error_extrapolated"],
+                                 RICHARDSON_BOUND))
     # rounded gaps of omega * (n + lam) cannot equal omega exactly for general
     # omega and lam, so the bound is relative, as in acceptance criterion 5
     spacing = np.diff(ptm.energies(60)) - ptm.omega

@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from kgcoherent.cli import CSV_HEADER, main, parse_alpha
+from kgcoherent import poschl_teller
+from kgcoherent.cli import CSV_HEADER, TAIL_BOUND, main, parse_alpha
 
 
 def run(capsys, *argv):
@@ -128,6 +129,63 @@ class TestStateCommand:
         assert rows[-1]["cumulative_norm"] >= 1.0 - 1e-10
 
 
+def poisson_tail(mean, n):
+    """P(X > n) for a Poisson count of this mean, term by term."""
+    terms = [math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
+             for k in range(n + 1, n + 400)]
+    return math.fsum(terms)
+
+
+class TestTruncationTail:
+    @pytest.mark.parametrize("command", ["state", "evolve"])
+    def test_alpha_8_rejected_naming_smallest_trunc(self, capsys, command):
+        code, out, err = run(capsys, command, "--alpha", "8")
+        assert code == 2
+        assert out == ""
+        assert "--trunc 50 drops 0.958 of the state's norm" in err
+        assert "the smallest --trunc that passes is 121" in err
+
+    def test_smallest_trunc_is_smallest(self, capsys):
+        code, out, _ = run(capsys, "state", "--alpha", "8", "--trunc", "121")
+        assert code == 0
+        tail = json.loads(out)["tail_mass"]
+        assert tail <= TAIL_BOUND
+        assert tail == pytest.approx(poisson_tail(64.0, 121), rel=1e-9)
+        code, _, err = run(capsys, "state", "--alpha", "8", "--trunc", "120")
+        assert code == 2
+        assert "is 121" in err
+        assert poisson_tail(64.0, 120) > TAIL_BOUND
+
+    def test_linear_tail_mass_is_poisson_tail(self, capsys):
+        code, out, _ = run(capsys, "state", "--alpha", "1+2i", "--trunc", "30")
+        assert code == 0
+        assert json.loads(out)["tail_mass"] == pytest.approx(
+            poisson_tail(5.0, 30), rel=1e-9)
+
+    def test_pt_tail_mass_bounds_dropped_norm(self, capsys):
+        code, out, _ = run(capsys, "state", "--model", "pt", "--alpha", "5",
+                           "--trunc", "16")
+        assert code == 0
+        tail = json.loads(out)["tail_mass"]
+        # the renormalized state's weight past N, from a longer truncation
+        wide = abs(poschl_teller.coherent_coefficients(
+            poschl_teller.PTModel(), 5.0, 80).coefficients) ** 2
+        dropped = wide[17:].sum() / wide[:17].sum()
+        assert dropped <= tail <= TAIL_BOUND
+
+    def test_pt_unbounded_tail_rejected(self, capsys):
+        # at N = 60, |alpha|^2 = 1e4 exceeds (N + 1)(N + 2 lambda): no bound
+        code, out, err = run(capsys, "state", "--model", "pt", "--alpha", "100")
+        assert code == 2
+        assert out == ""
+        assert "--trunc 60 cannot bound the part it drops" in err
+        assert "the smallest --trunc that passes is 146" in err
+        code, out, _ = run(capsys, "state", "--model", "pt", "--alpha", "100",
+                           "--trunc", "146")
+        assert code == 0
+        assert json.loads(out)["tail_mass"] <= TAIL_BOUND
+
+
 class TestEvolveAndFigures:
     def test_evolve_header_and_values(self, capsys):
         code, out, _ = run(capsys, "evolve", "--alpha", "0.1+0.2i",
@@ -242,6 +300,7 @@ class TestVerifyCommands:
         assert payload["passed"]
         names = {c["name"] for c in payload["checks"]}
         assert {"pt_equal_spacing", "pt_fd_convergence_order",
+                "linear_richardson_max_rel_error", "pt_richardson_max_rel_error",
                 "measure_moment_n0", "norm_conservation"} <= names
         assert all(c["passed"] for c in payload["checks"])
 
@@ -282,3 +341,11 @@ class TestVerifyCommands:
         passes = payload["sturm_passes"]
         assert set(passes) == {"coarse", "fine"}
         assert all(isinstance(k, int) and 1 <= k <= 10 for k in passes.values())
+        # Richardson removes the h^2 term that dominates the fine-grid error
+        levels = payload["levels"]
+        assert payload["max_rel_error_extrapolated"] == max(
+            lv["rel_error_extrapolated"] for lv in levels)
+        for lv in levels:
+            assert lv["rel_error_extrapolated"] == pytest.approx(
+                abs(lv["extrapolated"] - lv["analytic"]) / lv["analytic"])
+            assert lv["rel_error_extrapolated"] < 1e-3 * lv["rel_error"]

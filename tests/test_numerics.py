@@ -287,25 +287,52 @@ class TestTridiagonalEigen:
 
     def test_open_bracket_raises(self, monkeypatch):
         # too few rounds must be reported, not answered with a midpoint: one
-        # pass, the ladder about 0, leaves 0 in a bracket of about 2.6e-9
-        # and 3 in one of about 58
+        # pass, the ladder about 0, closes 0 with its rung at 0.45 tol but
+        # leaves 3 in a bracket of about 2.8e3
         monkeypatch.setattr(numerics, "_max_rounds", lambda width, tol: 1)
         m = TridiagonalMatrix([0.0, 1e100, 3.0], [0.0, 0.0])
         with pytest.raises(RuntimeError,
-                           match=r"levels \[0, 1\] not narrowed to tol=1e-10 "
+                           match=r"levels \[1\] not narrowed to tol=1e-10 "
                                  r"in 1 rounds; final bracket widths "
-                                 r"\[2\.6\d*e-09, 57\.9"):
+                                 r"\[2795\.\d+\]"):
             tridiag_smallest_eigenvalues(m, 2)
 
-    @pytest.mark.parametrize("corrupt", ["nan", "inf", "-inf", "noise"])
+    def test_wide_bracket_pass_count(self):
+        # the level at 3 sits next to 0 in a bracket reaching 1e100; the
+        # three-point anchor and the closing rungs settle it in 6 passes
+        stats = {}
+        m = TridiagonalMatrix([0.0, 1e100, 3.0], [0.0, 0.0])
+        tridiag_smallest_eigenvalues(m, 2, stats=stats)
+        assert stats["passes"] <= 6
+
+    def test_bracket_centred_within_tol_closes_in_one_pass(self):
+        # an isolated bracket whose centre lies within 0.45 tol of its
+        # eigenvalue is closed by its innermost rungs in one pass
+        n = 100
+        h = 1.0 / (n + 1)
+        m = TridiagonalMatrix(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2))
+        want = (2.0 / h**2) * (1.0 - np.cos(np.arange(1, 7) * math.pi * h))
+        stats = {}
+        got = tridiag_smallest_eigenvalues(
+            m, 6, brackets=(want - 1e-3, want + 1e-3), stats=stats)
+        assert stats["passes"] == 1
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=0.5e-10)
+
+    @pytest.mark.parametrize("corrupt", ["nan", "inf", "-inf", "noise", "alternate"])
     def test_corrupt_logdet_costs_passes_not_accuracy(self, monkeypatch, corrupt):
-        # log|det| only places probes; Sturm counts alone move the brackets
+        # log|det| only places probes; Sturm counts alone move the brackets.
+        # "alternate" leaves every other probe's log|det| true and moves the
+        # rest by O(1), so bracket ends and third anchor points are corrupt
+        # apart as well as together, and the quadratic fit stays finite and
+        # often lands inside the bracket, at the wrong place
         rng = np.random.default_rng(3)
         real = numerics.sturm_count
 
         def corrupted(matrix, x, logdet=None):
             count = real(matrix, x, logdet)
-            if logdet is not None:
+            if logdet is not None and corrupt == "alternate":
+                logdet[::2] += rng.normal(size=logdet[::2].shape)
+            elif logdet is not None:
                 logdet[...] = (rng.normal(scale=1e3, size=logdet.shape)
                                if corrupt == "noise" else float(corrupt))
             return count
@@ -342,7 +369,7 @@ class TestTridiagonalEigen:
         got = tridiag_smallest_eigenvalues(matrix, count)
         assert np.all(np.abs(got - want) <= np.maximum(1e-10, np.spacing(want)))
 
-    # bounds are the passes of the schedule plus two
+    # bounds are the passes of the schedule plus one
     def test_pass_counts(self, monkeypatch):
         calls = []
         real = numerics.sturm_count
@@ -353,8 +380,8 @@ class TestTridiagonalEigen:
 
         monkeypatch.setattr(numerics, "sturm_count", counted)
         for spec, analytic, coarse_max, fine_max in (
-                (pt_potential(count=2001), PTModel(1, 1).energies(7), 8, 7),
-                (linear_potential(count=2001), LinearModel(1, 1).energies(7), 8, 6)):
+                (pt_potential(count=2001), PTModel(1, 1).energies(7), 6, 4),
+                (linear_potential(count=2001), LinearModel(1, 1).energies(7), 6, 4)):
             calls.clear()
             rep = spectrum_compare(spec, analytic, 8)
             coarse = calls.count(spec.grid.count - 2)
@@ -498,6 +525,26 @@ class TestSturmCount:
                 sturm_count(matrix, shifts, logdet)
                 want = [np.linalg.slogdet(dense - s * np.eye(n))[1] for s in shifts]
                 np.testing.assert_allclose(logdet, want, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("scale,coupled", [(1.0, True), (1e300, True),
+                                               (1e-200, False)])
+    def test_logdet_matches_row_by_row_sum(self, scale, coupled):
+        # blocks take one log per product of eight pivots, unless a product
+        # overflows (entries of 1e300) or a pivot is below 2^-120 (uncoupled
+        # entries of 1e-200 at shift 0); then one log per pivot
+        rng = np.random.default_rng(5)
+        n = 301
+        diag = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        diag[::50] *= scale
+        off = rng.normal(size=n - 1) if coupled else np.zeros(n - 1)
+        matrix = TridiagonalMatrix(diag, off)
+        for size in (5, 700):
+            shifts = np.append(rng.normal(size=size - 1), 0.0)
+            got = np.empty(size)
+            want = np.empty(size)
+            sturm_count(matrix, shifts, got)
+            guarded_sturm_count(matrix, shifts, want)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-9)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_shift_rejected(self, bad):
