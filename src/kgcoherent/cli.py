@@ -9,7 +9,7 @@ produced it.
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 state, evolve and figures exit 2 when the truncation drops more than
 TAIL_BOUND of the coherent state's norm, naming the smallest --trunc that
-keeps it; state reports the dropped norm as tail_mass.
+keeps it; state reports the bound on the dropped norm as tail_mass.
 Every setting is a flag whose default lives in build_parser, except those
 that depend on --model: --k (linear only) and --omega (pt only) default to
 their model's field, and state --trunc resolves to 50 or 60 by model.
@@ -106,46 +106,79 @@ def _model_config(model):
     return {"model": "pt", "m": model.m, "omega": model.omega}
 
 
-def _tail_masses(model, alpha, n_max):
-    """Norm dropped by truncating the coherent state at N = 0..n_max.
+def _weight_step(model, mu, n):
+    """q_n = |c_{n+1}|^2 / |c_n|^2 for the coherent state at |alpha|^2 = mu:
+    mu / (n + 1) (linear), mu (n + lambda) / ((n + 1)(n + 2 lambda)(n + 1 +
+    lambda)) (PT); n may be an array.  It falls as n grows."""
+    q = mu / (n + 1.0)
+    if isinstance(model, poschl_teller.PTModel):
+        lam = model.lam
+        q = q * (n + lam) / ((n + 2.0 * lam) * (n + 1.0 + lam))
+    return q
 
-    A linear state keeps its Poisson weights |c_n|^2, so it drops their sum
-    over n > N, taken here over N < n <= n_max from the smallest term up
-    (the caller picks n_max past the mass that matters).  A PT state is
-    renormalized over n <= N, and its weights fall by
-    at most q_n = |alpha|^2 / ((n + 1)(n + 2 lambda)) per step, so it drops
-    at most |c_N|^2 q_N / (1 - q_N); while q_N >= 1 there is no bound (inf).
-    """
-    if isinstance(model, linear_osc.LinearModel):
-        c = linear_osc.coherent_coefficients(linear_osc.CoherentSpec(alpha, n_max))
-        return np.append(np.cumsum(np.abs(c[:0:-1]) ** 2)[::-1], 0.0)
-    weight = np.abs(
-        poschl_teller.coherent_coefficients(model, alpha, n_max).coefficients) ** 2
-    n = np.arange(n_max + 1.0)
-    q = abs(alpha) ** 2 / ((n + 1.0) * (n + 2.0 * model.lam))
-    with np.errstate(divide="ignore"):
-        return np.where(q < 1.0, weight / np.cumsum(weight) * q / (1.0 - q), np.inf)
+
+def _log_weight(model, mu, n):
+    """log |c_n|^2 times the state's squared norm: log(mu^n / n!), less
+    log((2 lambda)_n (n + lambda) / lambda) for PT."""
+    log_w = n * math.log(mu) - math.lgamma(n + 1.0)
+    if isinstance(model, poschl_teller.PTModel):
+        lam = model.lam
+        log_w += (math.lgamma(2.0 * lam) - math.lgamma(n + 2.0 * lam)
+                  + math.log(lam / (n + lam)))
+    return log_w
 
 
 def _checked_tail(model, alpha, truncation):
-    """The norm a truncation drops; UsageError naming the smallest passing
-    --trunc if it is above TAIL_BOUND."""
-    # A Poisson count exceeds its mean mu by t with probability at most
-    # exp(-t^2 / (2 (mu + t/3))) (Bernstein), so past `reach` that is below
-    # TAIL_BOUND^2, which the linear sums may leave out; PT weights fall faster.
-    mu = abs(alpha) ** 2
-    log_b = -2.0 * math.log(TAIL_BOUND)
-    reach = math.ceil(mu + log_b / 3.0
-                      + math.sqrt(log_b ** 2 / 9.0 + 2.0 * log_b * mu))
-    tails = _tail_masses(model, alpha, truncation + reach)
-    if tails[truncation] <= TAIL_BOUND:
-        return float(tails[truncation])
-    passing = np.flatnonzero(tails[1:] <= TAIL_BOUND)
-    drop = (f"drops {tails[truncation]:.3g} of" if np.isfinite(tails[truncation])
+    """Bound on the norm a truncation drops; UsageError naming the smallest
+    passing --trunc if it is above TAIL_BOUND.
+
+    Past level n the weights |c_k|^2 fall by at most q_n per step, so they
+    hold at most |c_n|^2 q_n / (1 - q_n), with |c_n|^2 from lgamma in log
+    space; while q_n >= 1 there is no bound (inf).  The bound falls with n
+    once q_n < 1, so the smallest passing n is found by doubling and
+    bisection: O(log n) work and O(1) memory at any |alpha|.
+    """
+    mu = abs(alpha) * abs(alpha)
+    if mu == 0.0:
+        return 0.0
+    if not mu < 2.0 ** 100:  # keeps the levels searched below 2^102, in float range
+        raise UsageError(f"|alpha| = {abs(alpha):g} is too large to truncate")
+    # log of the squared norm, sum_n exp(_log_weight(n)): mu for linear; for
+    # PT the sum over the 4096 levels about its largest term, which hold all
+    # of it to rounding while |alpha| < 1e5 (the weights fall off as
+    # exp(-(n - |alpha|)^2 / |alpha|)) and part of it past that, so the
+    # bound stays an upper bound.
+    log_norm = mu
+    if not isinstance(model, linear_osc.LinearModel):
+        b = 2.0 * model.lam
+        peak = math.ceil((math.sqrt((b - 1.0) ** 2 + 4.0 * mu) - b - 1.0) / 2.0)
+        start = max(0, peak - 2048)
+        steps = _weight_step(model, mu, np.arange(start, start + 4095.0))
+        rel = np.cumsum(np.log(steps))
+        top = max(0.0, rel.max())
+        log_norm = (_log_weight(model, mu, start) + top
+                    + math.log(math.exp(-top) + np.exp(rel - top).sum()))
+
+    def tail(n):
+        q = _weight_step(model, mu, n)
+        if q >= 1.0:
+            return math.inf
+        return math.exp(_log_weight(model, mu, n) - log_norm) * q / (1.0 - q)
+
+    dropped = tail(truncation)
+    if dropped <= TAIL_BOUND:
+        return dropped
+    lo, hi = truncation, 2 * truncation
+    while tail(hi) > TAIL_BOUND:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid) <= TAIL_BOUND else (mid, hi)
+    drop = (f"drops up to {dropped:.3g} of" if math.isfinite(dropped)
             else "cannot bound the part it drops of")
     raise UsageError(
         f"--trunc {truncation} {drop} the state's norm at |alpha| = {abs(alpha):g}, "
-        f"above {TAIL_BOUND:g}; the smallest --trunc that passes is {passing[0] + 1}")
+        f"above {TAIL_BOUND:g}; the smallest --trunc that passes is {hi}")
 
 
 def _series_csv(model, alpha, truncation, t0, t1, dt):
@@ -177,15 +210,16 @@ def cmd_spectrum(args):
 def cmd_state(args):
     model = _build_model(args)
     alpha = parse_alpha(args.alpha)
-    truncation = args.trunc
-    if isinstance(model, linear_osc.LinearModel):
-        truncation = 50 if truncation is None else truncation
+    linear = isinstance(model, linear_osc.LinearModel)
+    truncation = (50 if linear else 60) if args.trunc is None else args.trunc
+    if truncation < 1:
+        raise UsageError("require trunc >= 1")
+    tail = _checked_tail(model, alpha, truncation)
+    if linear:
         c = linear_osc.coherent_coefficients(
             linear_osc.CoherentSpec(alpha, truncation))
     else:
-        truncation = 60 if truncation is None else truncation
         c = poschl_teller.coherent_coefficients(model, alpha, truncation).coefficients
-    tail = _checked_tail(model, alpha, truncation)
     cum = np.cumsum(np.abs(c) ** 2)
     rows = [{"n": int(n), "re": c[n].real, "im": c[n].imag,
              "abs2": float(abs(c[n]) ** 2), "cumulative_norm": float(cum[n])}

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -139,10 +140,11 @@ def poisson_tail(mean, n):
 class TestTruncationTail:
     @pytest.mark.parametrize("command", ["state", "evolve"])
     def test_alpha_8_rejected_naming_smallest_trunc(self, capsys, command):
+        # at N = 50 the Poisson weights of |alpha|^2 = 64 still grow: no bound
         code, out, err = run(capsys, command, "--alpha", "8")
         assert code == 2
         assert out == ""
-        assert "--trunc 50 drops 0.958 of the state's norm" in err
+        assert "--trunc 50 cannot bound the part it drops" in err
         assert "the smallest --trunc that passes is 121" in err
 
     def test_smallest_trunc_is_smallest(self, capsys):
@@ -150,28 +152,31 @@ class TestTruncationTail:
         assert code == 0
         tail = json.loads(out)["tail_mass"]
         assert tail <= TAIL_BOUND
-        assert tail == pytest.approx(poisson_tail(64.0, 121), rel=1e-9)
+        # w_N q / (1 - q) = w_{N+1} / (1 - q): above the tail, by at most 1 / (1 - q)
+        exact = poisson_tail(64.0, 121)
+        assert exact <= tail <= exact / (1.0 - 64.0 / 122.0)
         code, _, err = run(capsys, "state", "--alpha", "8", "--trunc", "120")
         assert code == 2
+        assert "drops up to 1.48e-10 of" in err
         assert "is 121" in err
         assert poisson_tail(64.0, 120) > TAIL_BOUND
 
-    def test_linear_tail_mass_is_poisson_tail(self, capsys):
+    def test_linear_tail_mass_bounds_poisson_tail(self, capsys):
         code, out, _ = run(capsys, "state", "--alpha", "1+2i", "--trunc", "30")
         assert code == 0
-        assert json.loads(out)["tail_mass"] == pytest.approx(
-            poisson_tail(5.0, 30), rel=1e-9)
+        exact = poisson_tail(5.0, 30)
+        assert exact <= json.loads(out)["tail_mass"] <= exact / (1.0 - 5.0 / 31.0)
 
     def test_pt_tail_mass_bounds_dropped_norm(self, capsys):
         code, out, _ = run(capsys, "state", "--model", "pt", "--alpha", "5",
                            "--trunc", "16")
         assert code == 0
         tail = json.loads(out)["tail_mass"]
-        # the renormalized state's weight past N, from a longer truncation
+        # the state's weight past N, from a truncation that holds all of it
         wide = abs(poschl_teller.coherent_coefficients(
             poschl_teller.PTModel(), 5.0, 80).coefficients) ** 2
-        dropped = wide[17:].sum() / wide[:17].sum()
-        assert dropped <= tail <= TAIL_BOUND
+        dropped = wide[17:].sum()
+        assert dropped <= tail <= min(TAIL_BOUND, 2.0 * dropped)
 
     def test_pt_unbounded_tail_rejected(self, capsys):
         # at N = 60, |alpha|^2 = 1e4 exceeds (N + 1)(N + 2 lambda): no bound
@@ -184,6 +189,30 @@ class TestTruncationTail:
                            "--trunc", "146")
         assert code == 0
         assert json.loads(out)["tail_mass"] <= TAIL_BOUND
+
+    @pytest.mark.parametrize("argv, smallest", [
+        (("state", "--alpha", "1e4"), 100063656),
+        (("evolve", "--alpha", "1e4"), 100063656),
+        (("state", "--model", "pt", "--alpha", "1e4"), 10451),
+    ])
+    def test_large_alpha_rejected_without_building_the_state(self, capsys, argv,
+                                                            smallest):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert f"the smallest --trunc that passes is {smallest}" in err
+
+    def test_alpha_past_float_range_rejected(self, capsys):
+        code, _, err = run(capsys, "state", "--alpha", "1e200")
+        assert code == 2
+        assert "too large to truncate" in err
+
+    def test_trunc_below_one_rejected(self, capsys):
+        code, _, err = run(capsys, "state", "--trunc", "0")
+        assert code == 2
+        assert "trunc >= 1" in err
 
 
 class TestEvolveAndFigures:
