@@ -18,6 +18,7 @@ KGCOHERENT_OUTDIR overrides the directory of relative output paths.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -252,7 +253,7 @@ def cmd_figures(args):
         raise UsageError(f"unknown figure {args.identifier!r} (fig1..fig11)")
     recipe = FIGURES[args.identifier]
     # a figure is an `evolve` run: the recipe's alpha and t1 on evolve's defaults
-    series = build_parser().parse_args(
+    series = _parser().parse_args(
         ["evolve", f"--alpha={recipe['alpha']}", f"--t1={recipe['t1']!r}"])
     series.output = f"{args.identifier}.csv" if args.output is None else args.output
     cmd_evolve(series)
@@ -393,8 +394,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on first use, not at import, which every command pays, and
+    # reused by every later main() or figures call in the process
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:

@@ -15,13 +15,16 @@ and each band takes its own cutoff, step and halvings.  Cells
 (points x nodes, summed over bands) then follow each point's own needs,
 for the price of a few numpy calls per band and halving.
 
-The eigensolver's cost is its Sturm counts.  sturm_count runs the pivot
-recurrence for all shifts at once, a block of rows at a time, so a pass
-costs about one Python-level step (two small ufunc calls) per matrix row,
-nearly independent of the number of shifts up to a few hundred.  A
-mirror-symmetric (persymmetric) matrix, such as the FD Hamiltonian of an
-even potential, is folded into its even and odd sectors, which share every
-pivot but the last, so a pass steps only about n/2 rows.
+The eigensolver's cost is its Sturm counts.  sturm_count counts the
+negative pivots of a twisted factorization, whose forward pivots step down
+from the first row and backward pivots up from the last, for all shifts at
+once and a block of rows at a time: a Python-level step (two small ufunc
+calls) advances both sides by a row, so a pass costs about one step per
+two matrix rows, nearly independent of the number of shifts up to a few
+hundred.  A mirror-symmetric (persymmetric) matrix, such as the FD
+Hamiltonian of an even potential, splits into even and odd sectors that
+share their forward pivots, and their backward pivots start at the centre,
+so a pass steps about n/4 rows.
 
 So the eigensolver saves passes, not shifts.  Levels that share a bracket
 share its probes; the first pass places a geometric ladder about 0 over
@@ -59,8 +62,9 @@ __all__ = [
 ]
 
 
-# Float64 cells a kernel holds per block (Sturm pivots, Bessel-K tables):
-# 2^15 cells, 256 KB, so memory stays flat whatever the problem size.
+# Float64 cells a kernel holds per block (Sturm pivots and couplings,
+# Bessel-K tables): 2^15 cells, 256 KB, so memory stays flat whatever the
+# problem size.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -323,15 +327,37 @@ _PIVMIN = 1e-290
 _PROBES = 16  # fewest shifts per bracket and pass; a pass holds _PROBES per level
 
 
-def _pivot_rows(off2, piv, rows, guard):
-    # rows[j] holds diag - x on entry and the pivot d_j on exit; piv[j] is
-    # the pivot before rows[j] (piv[0] is carried over from the last block).
-    q = np.empty(rows.shape[1])
-    for e, prev, row in zip(off2, piv, rows):
-        np.divide(e, prev, q)  # positional out: cheaper to parse than out=
-        np.subtract(row, q, row)
+def _pivot_rows(coupling, piv, rows, guard):
+    # rows[j] holds diag - x on entry and the pivot on exit; piv[j] is the
+    # pivot before rows[j] (piv[0] is carried over from the last block) and
+    # coupling[j] its squared coupling to rows[j], overwritten.
+    for e, prev, row in zip(coupling, piv, rows):
+        np.divide(e, prev, e)  # positional out: cheaper to parse than out=
+        np.subtract(row, e, row)
         if guard:
             row[np.abs(row) < _PIVMIN] = -_PIVMIN
+
+
+def _sectors(diag, off):
+    # Tridiagonals whose Sturm counts add up to the matrix's, as (diag, e)
+    # pairs with e[i] the squared coupling of rows i-1 and i, and
+    # e[0] = e[size] = 0: the matrix itself or, for a mirror image of
+    # itself, its even and odd sectors, which differ only in the last row.
+    n = diag.size
+    e = np.concatenate([[0.0], off ** 2, [0.0]])
+    if n < 2 or not (np.array_equal(diag, diag[::-1])
+                     and np.array_equal(off, off[::-1])):
+        return [(diag, e)]
+    r = (n - 1) // 2
+    if n % 2:  # the centre row couples to the even sector by sqrt(2) b_{r-1}
+        e_even = np.append(e[:r + 1], 0.0)
+        e_even[r] *= 2.0
+        return [(diag[:r + 1], e_even), (diag[:r], np.append(e[:r], 0.0))]
+    even, odd = diag[:r + 1].copy(), diag[:r + 1].copy()
+    even[r] += off[r]
+    odd[r] -= off[r]
+    e = np.append(e[:r + 1], 0.0)
+    return [(even, e), (odd, e)]
 
 
 def _add_log_abs(rows, total, grouped, ones, groups):
@@ -358,33 +384,46 @@ def _add_log_abs(rows, total, grouped, ones, groups):
 def sturm_count(matrix, x, logdet=None):
     """Number of eigenvalues of `matrix` strictly below each shift in x.
 
-    Counts the negative pivots of the LDL^T factorization of T - x,
-    d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}, with every pivot of magnitude
-    below _PIVMIN replaced by -_PIVMIN (the guarded recurrence of LAPACK's
-    dstebz).  Rows are processed in blocks of about _BLOCK_CELLS / len(x)
-    rows: a block first runs the recurrence unguarded, two in-place ufunc
-    calls per row over all shifts, and is redone row by row with the guard
-    only if it produced a pivot that is tiny, zero or NaN (LAPACK's dlaneg
-    strategy).  A block that passes that check had nothing to guard, so
-    the counts equal those of the guarded recurrence bit for bit.  The cost
-    is one Python-level step per row plus a few whole-block numpy calls per
-    block, and memory stays at one block, whatever the matrix dimension.
+    Counts the negative pivots of a twisted factorization of T - x
+    (Dhillon & Parlett 2004; LAPACK's dlaneg), which by Sylvester's law of
+    inertia has as many as T - x has negative eigenvalues.  With e_i the
+    squared coupling of rows i-1 and i, the forward pivots
+    d_i = (a_i - x) - e_i / d_{i-1} run down from row 0 to row k - 1, the
+    backward pivots g_i = (a_i - x) - e_{i+1} / g_{i+1} run up from the
+    last row to row k + 1, and they meet in the twist
+    gamma_k = (a_k - x) - e_k / d_{k-1} - e_{k+1} / g_{k+1}.  Every pivot
+    of magnitude below _PIVMIN is replaced by -_PIVMIN (the guard of
+    LAPACK's dstebz), so a tiny gamma_k counts as negative.  The twist row k
+    balances the two sides, so a pass steps about n/2 rows: the forward and
+    backward pivots of all shifts are columns of one array, stepped
+    together by two in-place ufunc calls per row.
 
     A matrix equal to its own mirror image (diag and offdiag palindromes,
     tested exactly) is orthogonally similar to the direct sum of an even and
-    an odd sector that share the leading r = (n - 1) // 2 rows, so the
-    recurrence runs over those rows only, about n/2 row steps per pass, and
-    the count is twice theirs plus the sectors' last pivots.  For n = 2r + 1
-    the even sector adds one, (a_r - x) - 2 b_{r-1}^2 / d_{r-1}; for
-    n = 2r + 2 the sectors end in rows with diagonals a_r + b_r and
-    a_r - b_r.  Those pivots count under the same guard.  The folded and
-    full recurrences round differently, so at a shift on an eigenvalue
+    an odd sector, which share all rows but the one at the centre, where
+    the backward pivots start.  For n = 2r + 1 the even sector is rows
+    0..r with the coupling of rows r-1 and r scaled by sqrt(2) and the odd
+    one rows 0..r-1; for n = 2r + 2 both are rows 0..r, ending in diagonals
+    a_r + b_r and a_r - b_r.  The sectors share their forward pivots, which
+    count twice, so a pass steps about n/4 rows over three columns per
+    shift.  Where one side is a row shorter than the other, it starts with
+    a pivot of exactly 1 that couples to nothing.
+
+    Rows are processed in blocks of about _BLOCK_CELLS / 2 cells of pivots
+    and as many of couplings: a block first runs the recurrence unguarded
+    and is redone row by row with the guard only if it produced a pivot
+    that is tiny, zero or NaN (LAPACK's dlaneg strategy).  A block that
+    passes that check had nothing to guard, so the counts equal those of
+    the guarded recurrence bit for bit.  The cost is one Python-level step
+    per row plus a few whole-block numpy calls per block, and memory stays
+    at one block, whatever the matrix dimension.  The twisted and the plain
+    forward recurrence round differently, so at a shift on an eigenvalue
     their counts may differ.
 
     `logdet`, if given, is an output-only float array shaped like x that
-    receives log|det(T - x)|, the sum of log|d_i| over the guarded pivots
-    (2 L_shared + log|last pivots| for a folded matrix).  It is taken once
-    per block, in place, after the block is counted, so it adds no row
+    receives log|det(T - x)|, the sum of log|pivot| over both sides and
+    gamma_k (over both sectors for a mirror-symmetric matrix).  It is taken
+    once per block, in place, after the block is counted, so it adds no row
     steps: while no pivot of a block is below 2^-120 in magnitude and no
     product overflows, it is one log per product of eight pivots, else one
     per pivot.  Its value is only as good as the pivots: where they cancel
@@ -401,49 +440,71 @@ def sturm_count(matrix, x, logdet=None):
         logdet[...] = 0.0
     if x.size == 0:
         return np.zeros(0, dtype=np.int64)
-    diag = matrix.diag
-    off = matrix.offdiag
-    n = diag.size
-    folded = np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
-    steps = (n - 1) // 2 if folded else n
-    # off2[i] couples rows i-1 and i; a zero coupling to a unit pivot makes
-    # row 0 the same update as every other row.
-    off2 = [0.0] + (off ** 2).tolist()
-    block_rows = max(1, min(steps, _BLOCK_CELLS // x.size))
-    piv = np.empty((block_rows + 1, x.size))
+    sectors = _sectors(matrix.diag, matrix.offdiag)
+    # Column groups: the forward pivots of rows 0..k-1, which all sectors
+    # share, then each sector's backward pivots, from its last row up to
+    # row k + 1; each side's first row couples by e = 0 to a unit pivot.
+    # Sector 0 is the longest and the others at most a row shorter, so all
+    # groups take the same steps once a side a row short is led by a row
+    # whose pivot is exactly 1 (`pad`).
+    a0, e0 = sectors[0]
+    k = (a0.size - 1) // 2
+    chains = [(a0[:k], e0[:k])] + [(a[:k:-1], e[:k + 1:-1]) for a, e in sectors]
+    steps = max(a.size for a, _ in chains)
+    groups = len(chains)
+    diag = np.zeros((steps, groups))
+    coupling = np.zeros((steps, groups))
+    for g, (a, e) in enumerate(chains):
+        diag[steps - a.size:, g] = a
+        coupling[steps - a.size:, g] = e
+    pad = np.array([a.size < steps for a, _ in chains])
+    weight = np.array([len(sectors)] + [1] * len(sectors))
+    cols = groups * x.size
+    block_rows = max(1, min(steps, _BLOCK_CELLS // (2 * cols)))
+    piv = np.empty((block_rows + 1, cols))
     piv[0] = 1.0
-    count = np.zeros(x.size, dtype=np.int64)
+    cpl = np.empty((block_rows, cols))
+    ones = np.ones(block_rows)
+    count = np.zeros(cols)
     if logdet is not None:
-        ones = np.ones(block_rows)
-        groups = np.empty((block_rows // 8, x.size))
+        total = np.zeros(cols)
+        prods = np.empty((block_rows // 8, cols))
+
+    def fill(start, rows):
+        # rows = diag - x and cpl = couplings, as (row, group, shift) views
+        shape = (len(rows), groups, x.size)
+        np.subtract(diag[start:start + len(rows), :, None], x,
+                    out=rows.reshape(shape))
+        cpl[:len(rows)].reshape(shape)[...] = \
+            coupling[start:start + len(rows), :, None]
+        if start == 0:
+            rows[0].reshape(groups, x.size)[pad] = 1.0
+
     with np.errstate(all="ignore"):
         for start in range(0, steps, block_rows):
             stop = min(start + block_rows, steps)
             rows = piv[1:stop - start + 1]
-            np.subtract(diag[start:stop, None], x, out=rows)
-            _pivot_rows(off2[start:stop], piv, rows, guard=False)
+            fill(start, rows)
+            _pivot_rows(cpl, piv, rows, guard=False)
             smallest = np.abs(rows).min()
             if not smallest >= _PIVMIN:
-                np.subtract(diag[start:stop, None], x, out=rows)
-                _pivot_rows(off2[start:stop], piv, rows, guard=True)
+                fill(start, rows)
+                _pivot_rows(cpl, piv, rows, guard=True)
                 smallest = _PIVMIN  # the guard leaves every |pivot| at least this
-            count += np.count_nonzero(rows < 0.0, axis=0)
+            count += ones[:len(rows)] @ (rows < 0.0)
             piv[0] = rows[-1]
             if logdet is not None:
-                _add_log_abs(rows, logdet, smallest >= 2.0 ** -120, ones, groups)
-        if not folded:
-            return count
-        if n % 2:
-            centre, e = [[diag[steps]]], 2.0 * off2[steps]
-        else:
-            a, b = diag[steps], off[steps]
-            centre, e = [[a + b], [a - b]], off2[steps]
-        last = np.subtract(centre, x) - e / piv[0]
+                _add_log_abs(rows, total, smallest >= 2.0 ** -120, ones, prods)
+        last = piv[0].reshape(groups, x.size)
+        twist = np.array([[a[k]] for a, _ in sectors])
+        e_back = np.array([[e[k + 1]] for _, e in sectors])
+        gamma = (twist - x) - e0[k] / last[0] - e_back / last[1:]
         if logdet is not None:
-            logdet *= 2.0
-            logdet += np.log(np.maximum(np.abs(last), _PIVMIN)).sum(axis=0)
-        # a pivot below _PIVMIN in magnitude counts as negative
-        return 2 * count + np.count_nonzero(last < _PIVMIN, axis=0)
+            logdet += weight @ total.reshape(groups, x.size)
+            logdet += np.log(np.maximum(np.abs(gamma), _PIVMIN)).sum(axis=0)
+    # a twist below _PIVMIN in magnitude counts as negative
+    count = weight @ count.reshape(groups, x.size) + (gamma < _PIVMIN).sum(axis=0)
+    return count.astype(np.int64)
 
 
 def _max_rounds(width, tol):
@@ -508,7 +569,7 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
     one vectorized sturm_count over all probes of all open brackets; levels
     whose brackets coincide share their probes, and a pass holds
     _PROBES * count shifts spread over the distinct brackets, at least
-    _PROBES each, since a pass costs one step per matrix row almost
+    _PROBES each, since a pass costs a fixed number of row steps almost
     whatever the number of shifts (see sturm_count).  After a pass every
     level takes the tightest bracket its probes give.
 

@@ -10,8 +10,9 @@ to validate every analytic spectrum from a route that shares no code with them.
 The node map (PotentialSpec.warp) must be odd, and the uniform parameter s
 is made exactly odd, so on a grid centred at 0 the nodes are exact mirror
 images.  Then an even potential, as both of the paper's are, gives a
-mirror-symmetric matrix, whose Sturm counts numerics.sturm_count folds to
-about half the rows; the fold reads only the matrix, never a closed form.
+mirror-symmetric matrix, which numerics.sturm_count splits into its even
+and odd sectors, so a Sturm pass steps about a quarter of the rows; the
+split reads only the matrix, never a closed form.
 """
 
 import math

@@ -351,7 +351,7 @@ class TestTridiagonalEigen:
     @settings(deadline=None)
     @given(st.data())
     def test_matches_eigvalsh(self, data):
-        # mirror-symmetric (folded) and asymmetric matrices, repeated
+        # mirror-symmetric (split into sectors) and asymmetric matrices, repeated
         # eigenvalues included (zero couplings)
         n = data.draw(st.integers(1, 24))
         entry = st.one_of(st.integers(-3, 3).map(float),
@@ -419,25 +419,37 @@ def guarded_sturm_count(matrix, x, logdet=None):
     return count
 
 
-def folded_sturm_count(matrix, x):
-    """Reference for a mirror-symmetric matrix, one row at a time: the
-    guarded recurrence over the r = (n - 1) // 2 rows the even and odd
-    sectors share, counted twice, plus each sector's guarded last pivot."""
+def twisted_sturm_count(matrix, x):
+    """Reference, one row at a time: guarded forward pivots of rows 0..k-1
+    and backward pivots from the last row up to k + 1 meet in the guarded
+    twist gamma_k, k = (rows - 1) // 2.  A mirror-symmetric matrix splits
+    into its even and odd sectors, which share the forward pivots."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diag, off = matrix.diag, matrix.offdiag
     n = diag.size
+    e = np.concatenate([[0.0], off ** 2])  # e[i] couples rows i-1 and i
     r = (n - 1) // 2
-    d = np.ones_like(x)
+    if n < 2 or not is_mirror_symmetric(matrix):
+        sectors = [(diag, e)]
+    elif n % 2:  # rows 0..r with the centre coupled by sqrt(2) b_{r-1}; 0..r-1
+        sectors = [(diag[:r + 1], np.append(e[:r], 2.0 * e[r])), (diag[:r], e[:r])]
+    else:  # rows 0..r ending in a_r + b_r and a_r - b_r
+        sectors = [(np.append(diag[:r], diag[r] + off[r]), e[:r + 1]),
+                   (np.append(diag[:r], diag[r] - off[r]), e[:r + 1])]
+    k = (sectors[0][0].size - 1) // 2
     count = np.zeros(x.size, dtype=np.int64)
-    for i in range(r):
-        d = _guard(diag[i] - x - (off[i - 1] ** 2 / d if i else 0.0))
-        count += d < 0.0
-    e = off[r - 1] ** 2 if r else 0.0
-    if n % 2:  # even sector's centre row: coupling sqrt(2) b_{r-1}
-        last = [diag[r] - x - 2.0 * e / d]
-    else:  # last rows of the even and odd sectors
-        last = [(diag[r] + off[r]) - x - e / d, (diag[r] - off[r]) - x - e / d]
-    return 2 * count + sum((_guard(p) < 0.0).astype(np.int64) for p in last)
+    d = np.ones_like(x)
+    for i in range(k):
+        d = _guard(diag[i] - x - e[i] / d)
+        count += len(sectors) * (d < 0.0)
+    for a, ea in sectors:
+        g, eb = np.ones_like(x), 0.0
+        for i in range(a.size - 1, k, -1):
+            g = _guard(a[i] - x - eb / g)
+            count += g < 0.0
+            eb = ea[i]
+        count += _guard(a[k] - x - ea[k] / d - eb / g) < 0.0
+    return count
 
 
 def is_mirror_symmetric(matrix):
@@ -449,10 +461,11 @@ def is_mirror_symmetric(matrix):
 def small_integer_tridiagonals(draw):
     """Integer-valued entries and half-integer shifts: shifts land on
     diagonal entries and couplings vanish, so pivots hit exact zero and
-    0/0.  Half the draws mirror their first half, so the count folds.  The
-    shift counts give one block of the whole matrix, blocks of a few rows,
-    and one row per block."""
-    n = draw(st.integers(1, 40))
+    0/0.  Half the draws mirror their first half, so the count splits into
+    sectors, and half have 1-4 rows, so a side of the twist may be empty.
+    The shift counts give one block of the whole matrix, blocks of a few
+    rows, and one row per block."""
+    n = draw(st.integers(1, 4) | st.integers(5, 40))
     mirrored = draw(st.booleans())
     n_diag, n_off = ((n + 1) // 2, n // 2) if mirrored else (n, n - 1)
     diag = draw(st.lists(st.integers(-4, 4), min_size=n_diag, max_size=n_diag))
@@ -470,15 +483,33 @@ class TestSturmCount:
     @settings(deadline=None)
     @given(small_integer_tridiagonals())
     def test_matches_guarded_recurrence(self, case):
-        # a mirror-symmetric matrix is folded, and the fold rounds
-        # differently from the full recurrence, so each path is held bit
-        # for bit to its own row-by-row reference
+        # the twisted factorization rounds differently from the plain
+        # forward recurrence, so it is held bit for bit to its own
+        # row-by-row reference
         matrix, shifts = case
         got = sturm_count(matrix, shifts)
         assert got.dtype == np.int64
-        reference = (folded_sturm_count if is_mirror_symmetric(matrix)
-                     else guarded_sturm_count)
-        assert np.array_equal(got, reference(matrix, shifts))
+        assert np.array_equal(got, twisted_sturm_count(matrix, shifts))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 30, 31])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_matches_twisted_reference_beside_eigenvalues(self, n, mirrored):
+        # within a few ulps of an eigenvalue the count hangs on the rounding
+        # of every pivot, so this holds the order of operations too
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            diag = rng.normal(size=n)
+            off = rng.normal(size=n - 1)
+            if mirrored:
+                diag[n - n // 2:] = diag[:n // 2][::-1]
+                off[n - 1 - (n - 1) // 2:] = off[:(n - 1) // 2][::-1]
+            matrix = TridiagonalMatrix(diag, off)
+            eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                      + np.diag(off, -1))
+            shifts = (eigs[:, None]
+                      + np.spacing(eigs)[:, None] * np.arange(-3, 4)).ravel()
+            assert np.array_equal(sturm_count(matrix, shifts),
+                                  twisted_sturm_count(matrix, shifts))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 17, 40, 61, 200])
     def test_fold_matches_eigvalsh_counts(self, n):

@@ -14,7 +14,7 @@ from kgcoherent.oracle import (
     pt_potential,
     spectrum_compare,
 )
-from kgcoherent.numerics import Grid
+from kgcoherent.numerics import Grid, tridiag_smallest_eigenvalues
 from kgcoherent.poschl_teller import PTModel
 
 
@@ -43,7 +43,7 @@ class TestHamiltonian:
             build_hamiltonian(spec)
 
     # both potentials are even: on mirror-image nodes the matrix is exactly
-    # mirror-symmetric, so numerics.sturm_count folds it
+    # mirror-symmetric, so numerics.sturm_count splits it into sectors
     @pytest.mark.parametrize("count", [2001, 2000])
     @pytest.mark.parametrize("spec_of", [
         lambda count: pt_potential(0.7, 1.3, count),
@@ -108,7 +108,7 @@ class TestPTSpectrum:
         assert rep["max_rel_error"] <= 1e-5
 
     def test_second_order_at_even_point_count(self):
-        # 1998 interior rows: the fold ends in the two middle rows
+        # 1998 interior rows: both sectors end in one of the two middle rows
         rep = spectrum_compare(pt_potential(count=2000), PTModel(1, 1).energies(7), 8)
         assert 1.9 <= rep["convergence_order"] <= 2.1
         assert rep["max_rel_error"] <= 1e-5
@@ -127,6 +127,46 @@ class TestPTSpectrum:
         wrong = model.omega * (np.arange(8) + model.lam + 0.1)
         rep = spectrum_compare(pt_potential(count=2001), wrong, 8)
         assert rep["max_rel_error"] > 1e-3 or not rep["converged"]
+
+
+class TestLapackAgreement:
+    """The oracle's own matrices against LAPACK's bisection (dstebz).
+
+    Each solver brackets the eigenvalues of its floating-point Sturm count,
+    which is the exact count of the matrix with every coupling b_i changed
+    by a few units of roundoff u (Demmel, Applied Numerical Linear Algebra,
+    1997, sec. 5.3.4): 2.5 u for the recurrence, 0.5 u for squaring b_i,
+    and at most one more for the twist's second subtraction, so c = 4.  To
+    first order that moves level j by at most c u kappa_j, with
+    kappa_j = 2 sum_i |b_i v_i v_(i+1)| over its eigenvector v.  Here
+    kappa_j is 3e3 to 2e6 times epsilon_j, and the two solvers differ by up
+    to 135 n u |epsilon_j|, so n u |epsilon_j| is no bound.  The solvers
+    stop at brackets of width tol (midpoint returned) and of width
+    abstol + 2 ulp |epsilon| (dstebz).
+    """
+
+    @pytest.mark.parametrize("count", [2001, 4001])
+    @pytest.mark.parametrize("spec_of", [
+        lambda count: linear_potential(1, 1, count),
+        lambda count: pt_potential(1, 1, count),
+        lambda count: pt_potential(0.5, 2, count),
+        lambda count: pt_potential(2, 0.5, count),
+        lambda count: pt_potential(0.02, 2, count),
+    ], ids=["linear-1-1", "pt-1-1", "pt-0.5-2", "pt-2-0.5", "pt-0.02-2"])
+    def test_matches_eigh_tridiagonal(self, spec_of, count):
+        from scipy.linalg import eigh_tridiagonal
+
+        mat = build_hamiltonian(spec_of(count))
+        tol, abstol, u = 1e-10, 1e-12, np.finfo(float).eps / 2
+        got = tridiag_smallest_eigenvalues(mat, 10, tol=tol)
+        want = eigh_tridiagonal(mat.diag, mat.offdiag, eigvals_only=True,
+                                select="i", select_range=(0, 9),
+                                lapack_driver="stebz", tol=abstol)
+        _, v = eigh_tridiagonal(mat.diag, mat.offdiag, select="i",
+                                select_range=(0, 9))
+        kappa = 2.0 * np.abs(mat.offdiag) @ np.abs(v[:-1] * v[1:])
+        bound = tol / 2 + abstol + 4 * u * np.abs(want) + 2 * 4 * u * kappa
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestCompareValidation:
