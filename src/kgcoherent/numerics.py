@@ -19,29 +19,35 @@ The eigensolver's cost is its Sturm counts.  sturm_count counts the
 negative pivots of a twisted factorization, whose forward pivots step down
 from the first row and backward pivots up from the last, for all shifts at
 once and a block of rows at a time: a Python-level step (two small ufunc
-calls) advances both sides by a row, so a pass costs about one step per
-two matrix rows, nearly independent of the number of shifts up to a few
-hundred.  A mirror-symmetric (persymmetric) matrix, such as the FD
-Hamiltonian of an even potential, splits into even and odd sectors that
-share their forward pivots, and their backward pivots start at the centre,
-so a pass steps about n/4 rows.
+calls) advances both sides by a row, so a pass steps about n/2 rows.  A
+mirror-symmetric (persymmetric) matrix, such as the FD Hamiltonian of an
+even potential, splits into even and odd sectors that share their forward
+pivots, and their backward pivots start at the centre, so a pass steps
+about n/4 rows.  A pass costs about 1 us per step plus about 5 ns per
+matrix row and shift: on the 7,999-row PT matrix of the FD oracle it took
+2.9 ms at 16 shifts, 4.2 ms at 64, 7.7 ms at 160 and 14.8 ms at 320 (min
+of 15 on a 2-core shared host), so the steps dominate below about 50
+shifts and the shifts above.
 
-So the eigensolver saves passes, not shifts.  Levels that share a bracket
-share its probes; the first pass places a geometric ladder about 0 over
-the whole Gershgorin bracket (about a hint's midpoint, given hints); and
-once a bracket isolates one eigenvalue, half its probes step out from an
-anchor x*, the zero of an inverse quadratic through the signed
-determinant at the bracket's ends and one outside probe, which
-sturm_count's log|det(T - x)| gives from the pivots it already holds.
-The innermost pair of a ladder sits at x* -/+ 0.45 tol, so an anchor
-within that of its eigenvalue closes the bracket in that pass.  The other
-half of the probes stay uniform, so every later pass shrinks every bracket
-at least 9x, and only Sturm counts ever move a bracket: x* is a place to
-look, never an answer, and the result is the midpoint of a bracket of
-width at most tol, as with plain multisection.  Floating-point Sturm
-counts from the guarded recurrence are monotone in the shift in practice
-(Demmel, Dhillon & Ren 1995), and a bracket update that reads only the
-first probe at or past its level stays valid where they are not.
+So the eigensolver saves passes first and shifts second.  Levels that
+share a bracket share its probes.  The first pass, which must find every
+level, holds _PROBES probes per level: a geometric ladder about 0 over the
+whole Gershgorin bracket, or about each hint's midpoint, given hints.
+Every later pass holds _PROBES probes per bracket still open, so a pass
+that is left with few levels to close is cheap.  Once a bracket isolates
+one eigenvalue, half its probes step out from an anchor x*, the zero of
+an inverse quadratic through the signed determinant at the bracket's ends
+and one outside probe, which sturm_count's log|det(T - x)| gives from the
+pivots it already holds.  The innermost pair of a ladder sits at
+x* -/+ 0.45 tol, so an anchor within that of its eigenvalue closes the
+bracket in that pass.  The other half of the probes stay uniform, so
+every later pass shrinks every bracket at least 9x, and only Sturm counts
+ever move a bracket: x* is a place to look, never an answer, and the
+result is the midpoint of a bracket of width at most tol, as with plain
+multisection.  Floating-point Sturm counts from the guarded recurrence
+are monotone in the shift in practice (Demmel, Dhillon & Ren 1995), and a
+bracket update that reads only the first probe at or past its level
+stays valid where they are not.
 """
 
 import math
@@ -324,7 +330,7 @@ def quadrature(f):
 # tridiagonal eigensolver (Sturm bisection)
 
 _PIVMIN = 1e-290
-_PROBES = 16  # fewest shifts per bracket and pass; a pass holds _PROBES per level
+_PROBES = 16  # shifts per level in a first pass, per open bracket in later ones
 
 
 def _pivot_rows(coupling, piv, rows, guard):
@@ -567,11 +573,13 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
     Level j's bracket (lo, hi) always has fewer than j eigenvalues below lo
     and at least j below or at hi, and only Sturm counts move it.  A pass is
     one vectorized sturm_count over all probes of all open brackets; levels
-    whose brackets coincide share their probes, and a pass holds
-    _PROBES * count shifts spread over the distinct brackets, at least
-    _PROBES each, since a pass costs a fixed number of row steps almost
-    whatever the number of shifts (see sturm_count).  After a pass every
-    level takes the tightest bracket its probes give.
+    whose brackets coincide share their probes.  The first pass holds
+    _PROBES * count shifts spread over the distinct brackets and every
+    later pass _PROBES per distinct open bracket: a pass costs its row
+    steps plus about 40 us per shift on a 7,999-row matrix, so 16 shifts
+    cost about 1.5 times the steps and 160 about 4 times (see the module
+    docstring).  After a pass every level takes the tightest bracket its
+    probes give.
 
     - A ladder about a centre c has one geometric run of probes per side,
       from c -/+ 0.45 tol out to the bracket's ends, so an eigenvalue
@@ -640,13 +648,14 @@ def tridiag_smallest_eigenvalues(matrix, count, tol=1e-10, brackets=None,
     passes = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while is_open.any() and passes < rounds:
-            # distinct open brackets, each placed by its lowest level
-            pairs, first = np.unique(
-                np.stack([place_lo, place_hi], axis=1)[is_open], axis=0,
-                return_index=True)
-            level = np.flatnonzero(is_open)[first]
-            b_lo, b_hi = pairs[:, 0], pairs[:, 1]
-            per = max(_PROBES, _PROBES * count // b_lo.size)
+            # distinct open brackets, each placed by its lowest level; levels
+            # that share a bracket are neighbours while counts are monotone
+            level = np.flatnonzero(is_open)
+            b_lo, b_hi = place_lo[level], place_hi[level]
+            new = np.ones(level.size, dtype=bool)
+            new[1:] = (b_lo[1:] != b_lo[:-1]) | (b_hi[1:] != b_hi[:-1])
+            level, b_lo, b_hi = level[new], b_lo[new], b_hi[new]
+            per = _PROBES * count // b_lo.size if passes == 0 else _PROBES
             rungs = per if passes == 0 else per // 2
             uniform = per - rungs
             width = b_hi - b_lo

@@ -7,6 +7,14 @@ walls +/-L (the end nodes), so the 1/d^2 singularity converges at second
 order (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 16).  Used
 to validate every analytic spectrum from a route that shares no code with them.
 
+spectrum_compare solves three grids: a rough one with 1/ROUGH_FACTOR of
+the coarse grid's intervals, to the loose ROUGH_TOL, then the coarse and
+the fine one (REFINE_FACTOR times the coarse intervals) to the full tol.
+Only the coarse and fine levels are reported.  The rough levels place the
+coarse solve's first probes, and the Richardson prediction from the rough
+and coarse levels places the fine solve's, so both hinted solves start
+close to their levels; Sturm counts alone decide every level.
+
 The node map (PotentialSpec.warp) must be odd, and the uniform parameter s
 is made exactly odd, so on a grid centred at 0 the nodes are exact mirror
 images.  Then an even potential, as both of the paper's are, gives a
@@ -32,6 +40,8 @@ __all__ = [
 ]
 
 REFINE_FACTOR = 2  # fine/coarse interval ratio of spectrum_compare
+ROUGH_FACTOR = 8  # coarse/rough interval ratio of spectrum_compare's hint grid
+ROUGH_TOL = 1e-7  # Sturm tolerance of the rough grid, whose levels are only hints
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,7 @@ def fd_schrodinger_eigenvalues(spec, count, brackets=None, stats=None):
 
 
 def spectrum_compare(spec, analytic_energies, n_count):
-    """FD spectrum vs analytic E_n at two resolutions.
+    """FD spectrum vs analytic E_n at two resolutions, hinted by a third.
 
     Converts FD eigenvalues to energies via E = sqrt(2 m epsilon), reports
     relative errors on the fine grid and the empirical convergence order
@@ -114,21 +124,45 @@ def spectrum_compare(spec, analytic_energies, n_count):
     "energies_extrapolated" removes the scheme's h^2 term by Richardson
     extrapolation, (4 E_fine - E_coarse) / 3 for REFINE_FACTOR 2, so its
     relative errors show what the two solves' tolerance and the O(h^4)
-    remainder leave.  "sturm_passes" holds the Sturm passes of the coarse
-    and fine solves.
+    remainder leave.
+
+    Three grids are solved, and only the coarse and fine ones are reported.
+    A rough grid of 1/ROUGH_FACTOR the coarse grid's intervals (at least
+    101, build_hamiltonian's minimum) is solved to ROUGH_TOL, and the
+    coarse solve is hinted within 1% (at least 1e-3) of its levels.  The
+    fine solve is hinted about the Richardson prediction of the fine levels
+    from the rough and coarse ones, within 4 times the predicted shift (at
+    least 1e-7).  Hints only place the first pass's probes and Sturm counts
+    alone move a bracket, so a hint that misses its level costs passes,
+    never accuracy.  "sturm_passes" holds the Sturm passes of the rough,
+    coarse and fine solves.
     """
     analytic = np.asarray(analytic_energies, dtype=float)
     if n_count > min(20, analytic.size):
         raise ValueError("n_count exceeds the supplied analytic levels (max 20)")
     analytic = analytic[:n_count]
-    coarse, fine = {}, {}
-    eps_coarse = fd_schrodinger_eigenvalues(spec, n_count, stats=coarse)
-    # the coarse values bracket the fine ones to O(h^2); the Sturm solver
-    # verifies the hint and widens it if the discretization shifted further
-    width = np.maximum(1e-3 * np.abs(eps_coarse), 1e-4)
+    rough, coarse, fine = {}, {}, {}
+    intervals = spec.grid.count - 1
+    rough_spec = replace(spec, grid=replace(
+        spec.grid, count=max(intervals // ROUGH_FACTOR, 101) + 1))
+    eps_rough = tridiag_smallest_eigenvalues(
+        build_hamiltonian(rough_spec), n_count, tol=ROUGH_TOL, stats=rough)
+    width = np.maximum(1e-2 * np.abs(eps_rough), 1e-3)
+    eps_coarse = fd_schrodinger_eigenvalues(
+        spec, n_count, brackets=(eps_rough - width, eps_rough + width),
+        stats=coarse)
+    # epsilon(h) = epsilon* + C h^2 + O(h^4): the rough-to-coarse change is
+    # (1 - R^2) C h^2 for R = h_rough / h, the coarse-to-fine one
+    # (1/REFINE_FACTOR^2 - 1) C h^2.  A 102-point coarse grid is its own
+    # rough grid (R = 1), which predicts nothing
+    ratio2 = (intervals / (rough_spec.grid.count - 1)) ** 2
+    gain = (1.0 - REFINE_FACTOR ** -2) / (ratio2 - 1.0) if ratio2 > 1.0 else 0.0
+    shift = gain * (eps_coarse - eps_rough)
+    width = np.maximum(4.0 * np.abs(shift), 1e-7)
     eps_fine = fd_schrodinger_eigenvalues(
         spec.refined(REFINE_FACTOR), n_count,
-        brackets=(eps_coarse - width, eps_coarse + width), stats=fine)
+        brackets=(eps_coarse + shift - width, eps_coarse + shift + width),
+        stats=fine)
     e_coarse = np.sqrt(2.0 * spec.m * eps_coarse)
     e_fine = np.sqrt(2.0 * spec.m * eps_fine)
     r2 = REFINE_FACTOR ** 2
@@ -151,5 +185,6 @@ def spectrum_compare(spec, analytic_energies, n_count):
         "max_rel_error_extrapolated": float(np.max(err_extrap)),
         "convergence_order": order,
         "converged": bool(order >= 1.5),
-        "sturm_passes": {"coarse": coarse["passes"], "fine": fine["passes"]},
+        "sturm_passes": {"rough": rough["passes"], "coarse": coarse["passes"],
+                         "fine": fine["passes"]},
     }

@@ -368,7 +368,7 @@ class TestVerifyCommands:
         assert payload["passed"]
         assert payload["max_rel_error"] <= 1e-3
         passes = payload["sturm_passes"]
-        assert set(passes) == {"coarse", "fine"}
+        assert set(passes) == {"rough", "coarse", "fine"}
         assert all(isinstance(k, int) and 1 <= k <= 10 for k in passes.values())
         # Richardson removes the h^2 term that dominates the fine-grid error
         levels = payload["levels"]

@@ -379,15 +379,19 @@ class TestTridiagonalEigen:
             return real(matrix, x, logdet)
 
         monkeypatch.setattr(numerics, "sturm_count", counted)
-        for spec, analytic, coarse_max, fine_max in (
-                (pt_potential(count=2001), PTModel(1, 1).energies(7), 6, 4),
-                (linear_potential(count=2001), LinearModel(1, 1).energies(7), 6, 4)):
+        for spec, analytic, rough_max, coarse_max, fine_max in (
+                (pt_potential(count=2001), PTModel(1, 1).energies(7), 5, 4, 4),
+                (linear_potential(count=2001), LinearModel(1, 1).energies(7),
+                 6, 5, 3)):
             calls.clear()
             rep = spectrum_compare(spec, analytic, 8)
+            rough = calls.count((spec.grid.count - 1) // 8 - 1)
             coarse = calls.count(spec.grid.count - 2)
             fine = calls.count(2 * spec.grid.count - 3)
-            assert coarse + fine == len(calls)
-            assert rep["sturm_passes"] == {"coarse": coarse, "fine": fine}
+            assert rough + coarse + fine == len(calls)
+            assert rep["sturm_passes"] == {"rough": rough, "coarse": coarse,
+                                           "fine": fine}
+            assert rough <= rough_max
             assert coarse <= coarse_max and fine <= fine_max
 
     def test_matrix_validation(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kgcoherent import oracle
 from kgcoherent.linear_osc import LinearModel
 from kgcoherent.oracle import (
     PotentialSpec,
@@ -127,6 +128,50 @@ class TestPTSpectrum:
         wrong = model.omega * (np.arange(8) + model.lam + 0.1)
         rep = spectrum_compare(pt_potential(count=2001), wrong, 8)
         assert rep["max_rel_error"] > 1e-3 or not rep["converged"]
+
+
+class TestHintsSteerCountsDecide:
+    """The hinted coarse and fine solves of spectrum_compare land on the
+    levels an unhinted solve of the same grid finds.
+
+    Each solve returns the midpoint of a bracket no wider than tol about
+    the same jump of the same Sturm count, so the two differ by at most tol
+    whatever the hints were, hits or misses.
+    """
+
+    # the workload's parameter corners (PT draws m in [omega, 2]), lambda
+    # near 1, and 20 linear levels, whose top rough hints miss
+    @pytest.mark.parametrize("model,m,p,points,levels", [
+        *[("linear", m, k, 2001, 10) for m in (0.5, 2.0) for k in (0.5, 2.0)],
+        *[("pt", m, omega, 2001, 10)
+          for m, omega in ((0.5, 0.5), (2.0, 0.5), (2.0, 2.0))],
+        ("pt", 0.02, 2.0, 4001, 8),
+        ("linear", 1.0, 1.0, 2001, 20),
+    ], ids=str)
+    def test_matches_unhinted_solves(self, monkeypatch, model, m, p, points,
+                                     levels):
+        if model == "linear":
+            spec, analytic = linear_potential(m, p, points), LinearModel(m, p)
+        else:
+            spec, analytic = pt_potential(m, p, points), PTModel(m, p)
+        solves = {}
+        real = oracle.tridiag_smallest_eigenvalues
+
+        def recorded(matrix, count, **kwargs):
+            eps = real(matrix, count, **kwargs)
+            solves[matrix.dim] = eps
+            return eps
+
+        monkeypatch.setattr(oracle, "tridiag_smallest_eigenvalues", recorded)
+        spectrum_compare(spec, analytic.energies(levels - 1), levels)
+        monkeypatch.undo()
+        for grid in (spec, spec.refined(2)):
+            want = fd_schrodinger_eigenvalues(grid, levels)
+            got = solves[grid.grid.count - 2]
+            assert np.all(np.abs(got - want) <= 1e-10)
+        if levels == 20:  # the coarse hints are 1% wide about the rough levels
+            rough, coarse = solves[(points - 1) // 8 - 1], solves[points - 2]
+            assert np.any(np.abs(coarse - rough) > 1e-2 * rough)
 
 
 class TestLapackAgreement:
