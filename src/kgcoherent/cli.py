@@ -313,6 +313,7 @@ def cmd_oracle(args):
         "max_rel_error_extrapolated": rep["max_rel_error_extrapolated"],
         "convergence_order": rep["convergence_order"],
         "sturm_passes": rep["sturm_passes"],
+        "tol": rep["tol"],
         "levels": [{"n": i, "fd": float(rep["energies_fd"][i]),
                     "analytic": float(rep["energies_analytic"][i]),
                     "rel_error": float(rep["rel_errors"][i]),

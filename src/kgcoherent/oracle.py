@@ -9,7 +9,8 @@ to validate every analytic spectrum from a route that shares no code with them.
 
 spectrum_compare solves three grids: a rough one with 1/ROUGH_FACTOR of
 the coarse grid's intervals, to the loose ROUGH_TOL, then the coarse and
-the fine one (REFINE_FACTOR times the coarse intervals) to the full tol.
+the fine one (REFINE_FACTOR times the coarse intervals) to TOL, or to
+REL_TOL times the lowest level where that is smaller.
 Only the coarse and fine levels are reported.  The rough levels place the
 coarse solve's first probes, and the Richardson prediction from the rough
 and coarse levels places the fine solve's, so both hinted solves start
@@ -42,6 +43,8 @@ __all__ = [
 REFINE_FACTOR = 2  # fine/coarse interval ratio of spectrum_compare
 ROUGH_FACTOR = 8  # coarse/rough interval ratio of spectrum_compare's hint grid
 ROUGH_TOL = 1e-7  # Sturm tolerance of the rough grid, whose levels are only hints
+TOL = 1e-10  # Sturm tolerance of the coarse and fine grids ...
+REL_TOL = 1e-9  # ... or this share of their lowest level, if smaller
 
 
 @dataclass(frozen=True)
@@ -106,12 +109,13 @@ def build_hamiltonian(spec):
     return TridiagonalMatrix(diag, off)
 
 
-def fd_schrodinger_eigenvalues(spec, count, brackets=None, stats=None):
+def fd_schrodinger_eigenvalues(spec, count, brackets=None, stats=None, tol=TOL):
     """The lowest `count` eigenvalues epsilon_n of the discretized H_s.
 
-    `stats`, if given, receives the solver's Sturm passes under "passes".
+    `stats`, if given, receives the solver's Sturm passes under "passes";
+    `tol` is the solver's bracket tolerance on epsilon.
     """
-    return tridiag_smallest_eigenvalues(build_hamiltonian(spec), count,
+    return tridiag_smallest_eigenvalues(build_hamiltonian(spec), count, tol=tol,
                                         brackets=brackets, stats=stats)
 
 
@@ -136,6 +140,14 @@ def spectrum_compare(spec, analytic_energies, n_count):
     alone move a bracket, so a hint that misses its level costs passes,
     never accuracy.  "sturm_passes" holds the Sturm passes of the rough,
     coarse and fine solves.
+
+    The coarse and fine grids are solved to "tol" = min(TOL, REL_TOL L),
+    with L the lowest rough level less ROUGH_TOL / 2, a lower bound of the
+    rough grid's lowest eigenvalue: an absolute TOL would be a large share
+    of the h^2 change that the order reads where the levels are small
+    (linear levels are (2n + 1) k / (2m)).  Where L is not positive the
+    rough solve gives no scale, and tol is the smallest normal float, so
+    brackets close only when no float lies inside them.
     """
     analytic = np.asarray(analytic_energies, dtype=float)
     if n_count > min(20, analytic.size):
@@ -147,10 +159,12 @@ def spectrum_compare(spec, analytic_energies, n_count):
         spec.grid, count=max(intervals // ROUGH_FACTOR, 101) + 1))
     eps_rough = tridiag_smallest_eigenvalues(
         build_hamiltonian(rough_spec), n_count, tol=ROUGH_TOL, stats=rough)
+    floor = float(eps_rough[0]) - 0.5 * ROUGH_TOL
+    tol = min(TOL, REL_TOL * floor) if floor > 0.0 else float(np.finfo(float).tiny)
     width = np.maximum(1e-2 * np.abs(eps_rough), 1e-3)
     eps_coarse = fd_schrodinger_eigenvalues(
         spec, n_count, brackets=(eps_rough - width, eps_rough + width),
-        stats=coarse)
+        stats=coarse, tol=tol)
     # epsilon(h) = epsilon* + C h^2 + O(h^4): the rough-to-coarse change is
     # (1 - R^2) C h^2 for R = h_rough / h, the coarse-to-fine one
     # (1/REFINE_FACTOR^2 - 1) C h^2.  A 102-point coarse grid is its own
@@ -162,7 +176,7 @@ def spectrum_compare(spec, analytic_energies, n_count):
     eps_fine = fd_schrodinger_eigenvalues(
         spec.refined(REFINE_FACTOR), n_count,
         brackets=(eps_coarse + shift - width, eps_coarse + shift + width),
-        stats=fine)
+        stats=fine, tol=tol)
     e_coarse = np.sqrt(2.0 * spec.m * eps_coarse)
     e_fine = np.sqrt(2.0 * spec.m * eps_fine)
     r2 = REFINE_FACTOR ** 2
@@ -185,6 +199,7 @@ def spectrum_compare(spec, analytic_energies, n_count):
         "max_rel_error_extrapolated": float(np.max(err_extrap)),
         "convergence_order": order,
         "converged": bool(order >= 1.5),
+        "tol": tol,
         "sturm_passes": {"rough": rough["passes"], "coarse": coarse["passes"],
                          "fine": fine["passes"]},
     }

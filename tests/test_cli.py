@@ -360,6 +360,16 @@ class TestVerifyCommands:
         assert out == ""
         assert "n_max above 12" in err
 
+    @pytest.mark.parametrize("flag,value", [("--k", "1e-8"), ("--m", "1e6")])
+    def test_oracle_small_levels_pass(self, capsys, flag, value):
+        # eps_0 = 5e-9 and 5e-7: the tol follows the lowest level
+        code, out, _ = run(capsys, "oracle", flag, value, "--n", "4",
+                           "--points", "2001")
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"]
+        assert payload["tol"] < 1e-15
+        assert abs(payload["convergence_order"] - 2.0) < 1e-3
+
     def test_oracle_command(self, capsys):
         code, out, _ = run(capsys, "oracle", "--model", "linear",
                            "--n", "4", "--points", "1001")
@@ -367,6 +377,7 @@ class TestVerifyCommands:
         payload = json.loads(out)
         assert payload["passed"]
         assert payload["max_rel_error"] <= 1e-3
+        assert payload["tol"] == 1e-10
         passes = payload["sturm_passes"]
         assert set(passes) == {"rough", "coarse", "fine"}
         assert all(isinstance(k, int) and 1 <= k <= 10 for k in passes.values())

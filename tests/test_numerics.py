@@ -1,6 +1,7 @@
 """Kernel tests: frozen high-precision references, recurrences, quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -580,6 +581,121 @@ class TestSturmCount:
             sturm_count(matrix, shifts, got)
             guarded_sturm_count(matrix, shifts, want)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-9)
+
+    @pytest.mark.parametrize("cells", [64, 1024])
+    @settings(deadline=None, max_examples=50)
+    @given(case=small_integer_tridiagonals())
+    def test_block_boundaries_keep_counts(self, cells, case):
+        # smaller blocks move every block boundary, and with it the rows
+        # whose pivots are carried over and those redone under the guard
+        matrix, shifts = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_BLOCK_CELLS", cells)
+            got = sturm_count(matrix, shifts)
+        assert np.array_equal(got, twisted_sturm_count(matrix, shifts))
+
+    @pytest.mark.parametrize("cells", [64, 1024, _BLOCK_CELLS])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_shifts_on_eigenvalues_and_diagonal_entries(self, monkeypatch,
+                                                        cells, mirrored):
+        # shifts a few ulps about each eigenvalue, and on each diagonal entry,
+        # where the first pivot a_0 - x and the uncoupled ones are exactly 0
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for n in (7, 30, 61):
+            diag = rng.normal(size=n)
+            off = rng.normal(size=n - 1)
+            off[::5] = 0.0
+            if mirrored:
+                diag[n - n // 2:] = diag[:n // 2][::-1]
+                off[n - 1 - (n - 1) // 2:] = off[:(n - 1) // 2][::-1]
+            matrix = TridiagonalMatrix(diag, off)
+            eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                      + np.diag(off, -1))
+            shifts = np.concatenate([
+                (eigs[:, None] + np.spacing(eigs)[:, None] * np.arange(-3, 4)).ravel(),
+                diag])
+            assert np.array_equal(sturm_count(matrix, shifts),
+                                  twisted_sturm_count(matrix, shifts))
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_tiny_pivot_in_last_row_of_a_block(self, monkeypatch, block):
+        # forward pivots d_i = a_i - x - b_i^2 / d_{i-1} chosen at shift 0 as
+        # small powers of two, so every step is exact, with d_t = 0 in the
+        # last row of block `block`: that block alone is redone under the
+        # guard, and the next block must start from the guarded -_PIVMIN,
+        # which turns the next pivot into +huge instead of -inf
+        shifts = np.array([0.0, 0.3, -0.7, 2.5])
+        rows = 8  # block rows at 2 columns (forward, backward) per shift
+        monkeypatch.setattr(numerics, "_BLOCK_CELLS", rows * 2 * shifts.size)
+        n = 2 * 3 * rows + 1  # 3 blocks of forward and of backward pivots
+        rng = np.random.default_rng(block)
+        pivots = rng.choice([-2.0, -1.0, 1.0, 2.0, 4.0], size=n)
+        t = block * rows - 1
+        pivots[t] = 0.0
+        off = rng.choice([1.0, 2.0], size=n - 1)
+        diag = pivots.copy()
+        diag[1:] += np.divide(off ** 2, pivots[:-1], out=np.zeros(n - 1),
+                              where=pivots[:-1] != 0.0)
+        matrix = TridiagonalMatrix(diag, off)
+        forward = np.ones_like(shifts)
+        for i in range(t + 1):
+            forward = diag[i] - shifts - (off[i - 1] ** 2 / forward if i else 0.0)
+        assert forward[0] == 0.0 and np.all(np.abs(forward[1:]) >= 1e-3)
+        guards = []
+        real = numerics._pivot_rows
+
+        def recorded(coupling, prev, rows, guard):
+            guards.append(guard)
+            real(coupling, prev, rows, guard)
+
+        monkeypatch.setattr(numerics, "_pivot_rows", recorded)
+        got = sturm_count(matrix, shifts)
+        assert np.array_equal(got, twisted_sturm_count(matrix, shifts))
+        # block `block` alone is redone, under the guard
+        assert guards == [False] * block + [True] + [False] * (3 - block)
+
+    @pytest.mark.parametrize("rows,shifts", [(7999, 16), (7999, 128),
+                                             (7999, 176), (1999, 128)])
+    def test_pass_memory_is_two_blocks(self, rows, shifts):
+        # A pass holds a block of pivots and one of spent couplings, each at
+        # most _BLOCK_CELLS cells, and per column (3 per shift on these
+        # mirror-symmetric matrices) at most 12 cells of set-up: 4 of the
+        # shift matrix, the carried pivot row, the sign and log|det| sums
+        # and the twist's arrays; then the block's column of ones and 8 KB
+        # for Python objects.  A per-block temporary, even a bool mask of
+        # one block (_BLOCK_CELLS bytes), does not fit.
+        matrix = build_hamiltonian(pt_potential(count=rows + 2))
+        x = np.linspace(1.0, 60.0, shifts)
+        logdet = np.empty(shifts)
+        sturm_count(matrix, x, logdet)  # builds the matrix's chains
+        cols = 3 * shifts
+        bound = 8 * (2 * _BLOCK_CELLS + 12 * cols + _BLOCK_CELLS // cols) + 8192
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sturm_count(matrix, x, logdet)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 2 * 8 * _BLOCK_CELLS * 0.9 < peak <= bound
+
+    def test_overflowing_squared_coupling_rejected(self):
+        # couplings are spread over columns by a matrix product, where
+        # inf * 0 would give NaN
+        m = TridiagonalMatrix(np.arange(5.0), [1e200, 1.0, 1.0, 1.0])
+        with np.errstate(over="ignore"), \
+                pytest.raises(OverflowError, match="squared off-diagonal"):
+            sturm_count(m, [0.0])
+
+    def test_entries_are_read_only_copies(self):
+        diag, off = np.array([1.0, 2.0, 1.0]), np.array([0.5, 0.5])
+        m = TridiagonalMatrix(diag, off)
+        before = sturm_count(m, [1.2])
+        diag[1] = -10.0
+        assert np.array_equal(sturm_count(m, [1.2]), before)
+        with pytest.raises(ValueError):
+            m.diag[0] = 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_shift_rejected(self, bad):

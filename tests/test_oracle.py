@@ -214,6 +214,35 @@ class TestLapackAgreement:
         assert np.all(np.abs(got - want) <= bound)
 
 
+class TestSmallLevels:
+    """Linear levels are (2n + 1) k / (2m), so an absolute tol would swamp
+    the h^2 change the convergence order reads; the coarse and fine tol
+    follows the lowest rough level instead, less ROUGH_TOL / 2."""
+
+    @pytest.mark.parametrize("spec", [linear_potential(count=1001),
+                                      pt_potential(count=1001)], ids=str)
+    def test_default_levels_keep_absolute_tol(self, spec):
+        energies = (LinearModel(1, 1) if spec.label == "linear"
+                    else PTModel(1, 1)).energies(3)
+        assert spectrum_compare(spec, energies, 4)["tol"] == oracle.TOL
+
+    @pytest.mark.parametrize("m,k", [(1e6, 1.0), (1.0, 1e-4)])
+    def test_tol_follows_lowest_level(self, m, k):
+        rep = spectrum_compare(linear_potential(m, k, 2001),
+                               LinearModel(m, k).energies(3), 4)
+        eps0 = k / (2.0 * m)
+        assert 0.5 * oracle.REL_TOL * eps0 <= rep["tol"] <= oracle.REL_TOL * eps0
+        assert rep["converged"] and abs(rep["convergence_order"] - 2.0) < 1e-3
+
+    def test_unresolved_rough_level_solves_to_last_float(self):
+        # eps_0 = 5e-9 is below ROUGH_TOL / 2, so the rough level gives no
+        # positive lower bound, and no tol reaches the solver as 0
+        rep = spectrum_compare(linear_potential(1.0, 1e-8, 2001),
+                               LinearModel(1.0, 1e-8).energies(3), 4)
+        assert rep["tol"] == np.finfo(float).tiny
+        assert rep["converged"] and abs(rep["convergence_order"] - 2.0) < 1e-3
+
+
 class TestCompareValidation:
     def test_count_cap(self):
         model = LinearModel(1, 1)
