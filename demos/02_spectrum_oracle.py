@@ -26,7 +26,7 @@ from kgcoherent.poschl_teller import PTModel
 
 
 def show(label, spec, analytic):
-    rep = oracle.spectrum_compare(spec, analytic, len(analytic))
+    rep = oracle.spectrum_compare(spec, analytic)
     print(f"{label}:")
     for n, (fd, ex) in enumerate(zip(rep["energies_fd"], analytic)):
         print(f"  n={n}  fd={fd:.8f}  analytic={ex:.8f}  "

@@ -9,7 +9,7 @@ produced it.
 Exit codes: 0 success, 1 verification failure, 2 usage/validation error.
 state, evolve and figures exit 2 when the truncation drops more than
 TAIL_BOUND of the coherent state's norm, naming the smallest --trunc that
-keeps it; state reports the bound on the dropped norm as tail_mass.
+keeps it (evolution.tail_bound); state reports that bound as tail_mass.
 Every setting is a flag whose default lives in build_parser, except those
 that depend on --model: --k (linear only) and --omega (pt only) default to
 their model's field, and state --trunc resolves to 50 or 60 by model.
@@ -18,6 +18,7 @@ KGCOHERENT_OUTDIR overrides the directory of relative output paths.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import linear_osc, poschl_teller, verify
+from . import evolution, linear_osc, poschl_teller, verify
 from . import oracle as oracle_mod
 
 CSV_HEADER = "t,dx,dp,product,ex,ep"
@@ -34,6 +35,8 @@ CSV_HEADER = "t,dx,dp,product,ex,ep"
 # eigenstate residual bound of `verify coherence`, and far below the nine
 # digits the series CSV prints.
 TAIL_BOUND = 1e-10
+# oracle's FD potential of each --model, called with the model's fields
+FD_POTENTIALS = {"linear": oracle_mod.linear_potential, "pt": oracle_mod.pt_potential}
 
 
 FIGURES = {
@@ -101,85 +104,23 @@ def _build_model(args):
     return cls(args.m) if value is None else cls(args.m, value)
 
 
-def _model_config(model):
-    if isinstance(model, linear_osc.LinearModel):
-        return {"model": "linear", "m": model.m, "k": model.k}
-    return {"model": "pt", "m": model.m, "omega": model.omega}
-
-
-def _weight_step(model, mu, n):
-    """q_n = |c_{n+1}|^2 / |c_n|^2 for the coherent state at |alpha|^2 = mu:
-    mu / (n + 1) (linear), mu (n + lambda) / ((n + 1)(n + 2 lambda)(n + 1 +
-    lambda)) (PT); n may be an array.  It falls as n grows."""
-    q = mu / (n + 1.0)
-    if isinstance(model, poschl_teller.PTModel):
-        lam = model.lam
-        q = q * (n + lam) / ((n + 2.0 * lam) * (n + 1.0 + lam))
-    return q
-
-
-def _log_weight(model, mu, n):
-    """log |c_n|^2 times the state's squared norm: log(mu^n / n!), less
-    log((2 lambda)_n (n + lambda) / lambda) for PT."""
-    log_w = n * math.log(mu) - math.lgamma(n + 1.0)
-    if isinstance(model, poschl_teller.PTModel):
-        lam = model.lam
-        log_w += (math.lgamma(2.0 * lam) - math.lgamma(n + 2.0 * lam)
-                  + math.log(lam / (n + lam)))
-    return log_w
+def _model_config(args, model):
+    return {"model": args.model, **dataclasses.asdict(model)}
 
 
 def _checked_tail(model, alpha, truncation):
-    """Bound on the norm a truncation drops; UsageError naming the smallest
-    passing --trunc if it is above TAIL_BOUND.
-
-    Past level n the weights |c_k|^2 fall by at most q_n per step, so they
-    hold at most |c_n|^2 q_n / (1 - q_n), with |c_n|^2 from lgamma in log
-    space; while q_n >= 1 there is no bound (inf).  The bound falls with n
-    once q_n < 1, so the smallest passing n is found by doubling and
-    bisection: O(log n) work and O(1) memory at any |alpha|.
-    """
+    """evolution.tail_bound of the truncation; UsageError naming the smallest
+    passing --trunc if it is above TAIL_BOUND."""
     mu = abs(alpha) * abs(alpha)
-    if mu == 0.0:
-        return 0.0
-    if not mu < 2.0 ** 100:  # keeps the levels searched below 2^102, in float range
-        raise UsageError(f"|alpha| = {abs(alpha):g} is too large to truncate")
-    # log of the squared norm, sum_n exp(_log_weight(n)): mu for linear; for
-    # PT the sum over the 4096 levels about its largest term, which hold all
-    # of it to rounding while |alpha| < 1e5 (the weights fall off as
-    # exp(-(n - |alpha|)^2 / |alpha|)) and part of it past that, so the
-    # bound stays an upper bound.
-    log_norm = mu
-    if not isinstance(model, linear_osc.LinearModel):
-        b = 2.0 * model.lam
-        peak = math.ceil((math.sqrt((b - 1.0) ** 2 + 4.0 * mu) - b - 1.0) / 2.0)
-        start = max(0, peak - 2048)
-        steps = _weight_step(model, mu, np.arange(start, start + 4095.0))
-        rel = np.cumsum(np.log(steps))
-        top = max(0.0, rel.max())
-        log_norm = (_log_weight(model, mu, start) + top
-                    + math.log(math.exp(-top) + np.exp(rel - top).sum()))
-
-    def tail(n):
-        q = _weight_step(model, mu, n)
-        if q >= 1.0:
-            return math.inf
-        return math.exp(_log_weight(model, mu, n) - log_norm) * q / (1.0 - q)
-
-    dropped = tail(truncation)
+    dropped = evolution.tail_bound(model, mu, truncation)
     if dropped <= TAIL_BOUND:
         return dropped
-    lo, hi = truncation, 2 * truncation
-    while tail(hi) > TAIL_BOUND:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if tail(mid) <= TAIL_BOUND else (mid, hi)
     drop = (f"drops up to {dropped:.3g} of" if math.isfinite(dropped)
             else "cannot bound the part it drops of")
     raise UsageError(
         f"--trunc {truncation} {drop} the state's norm at |alpha| = {abs(alpha):g}, "
-        f"above {TAIL_BOUND:g}; the smallest --trunc that passes is {hi}")
+        f"above {TAIL_BOUND:g}; the smallest --trunc that passes is "
+        f"{evolution.smallest_truncation(model, mu, TAIL_BOUND)}")
 
 
 def _series_csv(model, alpha, truncation, t0, t1, dt):
@@ -226,7 +167,7 @@ def cmd_state(args):
              "abs2": float(abs(c[n]) ** 2), "cumulative_norm": float(cum[n])}
             for n in range(c.size)]
     payload = {
-        "config": {**_model_config(model),
+        "config": {**_model_config(args, model),
                    "alpha": [alpha.real, alpha.imag], "trunc": truncation},
         "tail_mass": tail,
         "coefficients": rows,
@@ -257,7 +198,7 @@ def cmd_figures(args):
         ["evolve", f"--alpha={recipe['alpha']}", f"--t1={recipe['t1']!r}"])
     series.output = f"{args.identifier}.csv" if args.output is None else args.output
     cmd_evolve(series)
-    run = {**_model_config(_build_model(series)), "alpha": series.alpha,
+    run = {**_model_config(series, _build_model(series)), "alpha": series.alpha,
            "trunc": series.trunc, "t0": series.t0, "t1": series.t1,
            "dt": series.dt, "column": recipe["column"]}
     out = _out_path(series.output)
@@ -299,15 +240,13 @@ def cmd_measure_check(args):
 def cmd_oracle(args):
     model = _build_model(args)
     count = args.levels
-    if isinstance(model, linear_osc.LinearModel):
-        spec = oracle_mod.linear_potential(model.m, model.k, args.points)
-    else:
-        spec = oracle_mod.pt_potential(model.m, model.omega, args.points)
-    analytic = model.energies(count - 1)
-    rep = oracle_mod.spectrum_compare(spec, analytic, count)
+    spec = FD_POTENTIALS[args.model](**dataclasses.asdict(model),
+                                     count=args.points)
+    rep = oracle_mod.spectrum_compare(spec, model.energies(count - 1))
     ok = rep["converged"] and rep["max_rel_error"] <= 1e-3
     payload = {
-        "config": {**_model_config(model), "levels": count, "points": args.points},
+        "config": {**_model_config(args, model), "levels": count,
+                   "points": args.points},
         "passed": bool(ok),
         "max_rel_error": rep["max_rel_error"],
         "max_rel_error_extrapolated": rep["max_rel_error_extrapolated"],

@@ -4,6 +4,7 @@ This is the model-independent oracle: synthesize psi(x, t) on a grid from
 coefficients and eigenfunctions, then read <x>, <x^2>, <p>, <p^2> off the
 samples (Simpson quadrature, 4th-order finite-difference derivative).
 All closed-form expectation series elsewhere are cross-checked against it.
+tail_bound bounds the norm a truncated coherent state drops, from its model's law.
 """
 
 import math
@@ -24,6 +25,8 @@ __all__ = [
     "momentum_moments",
     "heisenberg_product",
     "lowering_residual",
+    "tail_bound",
+    "smallest_truncation",
 ]
 
 HEISENBERG_FLOOR = 0.5 * (1.0 - 1e-5)
@@ -59,12 +62,8 @@ def make_state(model, coefficients):
 
 
 def default_grid(model, count=4001):
-    """Grid covering the state support: [-12/sqrt(k), 12/sqrt(k)] or [-L, L]."""
-    if isinstance(model, LinearModel):
-        half = 12.0 / math.sqrt(model.k)
-    else:
-        half = model.half_width
-    return Grid(-half, half, count)
+    """Grid covering the state support: [-model.half_width, model.half_width]."""
+    return Grid(-model.half_width, model.half_width, count)
 
 
 def synthesize(state, grid, t):
@@ -166,3 +165,35 @@ def lowering_residual(state, t):
     out[:-1] = np.sqrt(n_idx + 1.0) * c[1:]
     mu = np.vdot(c, out) / norm2
     return float(np.linalg.norm(out - mu * c) / math.sqrt(norm2))
+
+
+def tail_bound(model, mu, n):
+    """Bound on the norm the coherent state at |alpha|^2 = mu drops past level n.
+
+    The weights past n fall by at most q_n = model.weight_step(mu, n) per
+    step, so they hold at most |c_n|^2 q_n / (1 - q_n), or inf while q_n >= 1.
+    mu must be below 2^100, which keeps the levels searched below 2^102.
+    """
+    if mu == 0.0:
+        return 0.0
+    if not mu < 2.0 ** 100:
+        raise ValueError(f"|alpha|^2 = {mu:g} is too large to truncate (limit 2^100)")
+    q = model.weight_step(mu, n)
+    if q >= 1.0:
+        return math.inf
+    # |c_n|^2 <= 1, also where rounding of the n log n terms says otherwise
+    log_w = min(model.log_weight(mu, n) - model.log_norm(mu), 0.0)
+    return math.exp(log_w) * q / (1.0 - q)
+
+
+def smallest_truncation(model, mu, bound):
+    """Smallest n >= 1 with tail_bound(model, mu, n) <= bound: the bound is inf
+    until q_n < 1 and falls with n after that, so doubling and bisection find
+    n in O(log n) tail_bound calls and O(1) memory."""
+    lo, hi = 0, 1
+    while tail_bound(model, mu, hi) > bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail_bound(model, mu, mid) <= bound else (mid, hi)
+    return hi

@@ -4,8 +4,9 @@ The relativistic spectrum is E_n = sqrt((2n+1) k); the underlying
 Schrodinger problem is a harmonic oscillator with m*omega = k, so the
 eigenfunctions are Hermite functions.  Annihilation-operator coherent
 states built on the positive-energy sector carry the usual Poissonian
-coefficients; their expectation values evolve with the non-equally-spaced
-relativistic phases, which is what the closed-form series below encode.
+coefficients, running products of LinearModel.weight_step; their expectation
+values evolve with the non-equally-spaced relativistic phases, which is what
+the closed-form series below encode.
 """
 
 import cmath
@@ -50,6 +51,26 @@ class LinearModel:
     @property
     def omega(self):
         return self.k / self.m
+
+    @property
+    def half_width(self):
+        """12/sqrt(k): [-L, L] holds the low states to far below rounding."""
+        return 12.0 / math.sqrt(self.k)
+
+    @staticmethod
+    def weight_step(mu, n):
+        """q_n = |c_{n+1}|^2 / |c_n|^2 = mu / (n + 1), mu = |alpha|^2; array n too."""
+        return mu / (n + 1.0)
+
+    @staticmethod
+    def log_weight(mu, n):
+        """log(mu^n / n!) = log |c_n|^2 + log_norm(mu); one level n < 2^102, mu > 0."""
+        return n * math.log(mu) - math.lgamma(n + 1.0)
+
+    @staticmethod
+    def log_norm(mu):
+        """log of the sum of exp(log_weight(mu, n)) over all n: mu."""
+        return mu
 
     def eigenfunction_rows(self, n_max, x):
         """Yield u_0..u_{n_max} sampled on the array x, one row at a time.
@@ -111,14 +132,11 @@ def coherent_coefficients(spec):
     alpha = complex(spec.alpha)
     n_idx = np.arange(spec.truncation + 1)
     r = abs(alpha)
-    if r == 0.0:
-        c = np.zeros(spec.truncation + 1, dtype=complex)
-        c[0] = 1.0
-        return c
-    phase = cmath.phase(alpha)
-    log_mag = (n_idx * math.log(r) - 0.5 * r * r
-               - 0.5 * np.array([math.lgamma(n) for n in (n_idx + 1.0).tolist()]))
-    return np.exp(log_mag) * np.exp(1j * phase * n_idx)
+    # log q_k = 2 log r + log q_k(mu = 1), also where mu = r^2 underflows
+    with np.errstate(divide="ignore"):
+        log_q = 2.0 * np.log(r) + np.log(LinearModel.weight_step(1.0, n_idx[:-1]))
+    log_w = np.cumsum(np.concatenate(([-r * r], log_q)))
+    return np.exp(0.5 * log_w) * np.exp(1j * cmath.phase(alpha) * n_idx)
 
 
 def _series_terms(model, spec, t):
@@ -129,11 +147,9 @@ def _series_terms(model, spec, t):
     n_max = spec.truncation
     energies = model.energies(n_max + 2)
 
-    # weights e^{-|alpha|^2} |alpha|^{2n} / n!, built iteratively
-    w = np.empty(n_max + 1)
-    w[0] = math.exp(-r2)
-    for n in range(n_max):
-        w[n + 1] = w[n] * r2 / (n + 1)
+    # weights |c_n|^2 = e^{-|alpha|^2} |alpha|^{2n} / n!, a running product
+    w = np.cumprod(np.concatenate(([math.exp(-r2)],
+                                   model.weight_step(r2, np.arange(n_max)))))
 
     th1 = (energies[:n_max + 1] - energies[1:n_max + 2]) * t
     th2 = (energies[:n_max + 1] - energies[2:n_max + 3]) * t

@@ -109,18 +109,13 @@ def build_hamiltonian(spec):
     return TridiagonalMatrix(diag, off)
 
 
-def fd_schrodinger_eigenvalues(spec, count, brackets=None, stats=None, tol=TOL):
-    """The lowest `count` eigenvalues epsilon_n of the discretized H_s.
-
-    `stats`, if given, receives the solver's Sturm passes under "passes";
-    `tol` is the solver's bracket tolerance on epsilon.
-    """
-    return tridiag_smallest_eigenvalues(build_hamiltonian(spec), count, tol=tol,
-                                        brackets=brackets, stats=stats)
+def fd_schrodinger_eigenvalues(spec, count):
+    """The lowest `count` eigenvalues epsilon_n of the discretized H_s, to TOL."""
+    return tridiag_smallest_eigenvalues(build_hamiltonian(spec), count, tol=TOL)
 
 
-def spectrum_compare(spec, analytic_energies, n_count):
-    """FD spectrum vs analytic E_n at two resolutions, hinted by a third.
+def spectrum_compare(spec, analytic_energies):
+    """FD spectrum vs analytic E_n (at most 20) at two resolutions, hinted by a third.
 
     Converts FD eigenvalues to energies via E = sqrt(2 m epsilon), reports
     relative errors on the fine grid and the empirical convergence order
@@ -150,9 +145,9 @@ def spectrum_compare(spec, analytic_energies, n_count):
     brackets close only when no float lies inside them.
     """
     analytic = np.asarray(analytic_energies, dtype=float)
-    if n_count > min(20, analytic.size):
-        raise ValueError("n_count exceeds the supplied analytic levels (max 20)")
-    analytic = analytic[:n_count]
+    n_count = analytic.size
+    if n_count > 20:
+        raise ValueError(f"the oracle compares at most 20 levels, got {n_count}")
     rough, coarse, fine = {}, {}, {}
     intervals = spec.grid.count - 1
     rough_spec = replace(spec, grid=replace(
@@ -162,9 +157,9 @@ def spectrum_compare(spec, analytic_energies, n_count):
     floor = float(eps_rough[0]) - 0.5 * ROUGH_TOL
     tol = min(TOL, REL_TOL * floor) if floor > 0.0 else float(np.finfo(float).tiny)
     width = np.maximum(1e-2 * np.abs(eps_rough), 1e-3)
-    eps_coarse = fd_schrodinger_eigenvalues(
-        spec, n_count, brackets=(eps_rough - width, eps_rough + width),
-        stats=coarse, tol=tol)
+    eps_coarse = tridiag_smallest_eigenvalues(
+        build_hamiltonian(spec), n_count, tol=tol,
+        brackets=(eps_rough - width, eps_rough + width), stats=coarse)
     # epsilon(h) = epsilon* + C h^2 + O(h^4): the rough-to-coarse change is
     # (1 - R^2) C h^2 for R = h_rough / h, the coarse-to-fine one
     # (1/REFINE_FACTOR^2 - 1) C h^2.  A 102-point coarse grid is its own
@@ -173,10 +168,10 @@ def spectrum_compare(spec, analytic_energies, n_count):
     gain = (1.0 - REFINE_FACTOR ** -2) / (ratio2 - 1.0) if ratio2 > 1.0 else 0.0
     shift = gain * (eps_coarse - eps_rough)
     width = np.maximum(4.0 * np.abs(shift), 1e-7)
-    eps_fine = fd_schrodinger_eigenvalues(
-        spec.refined(REFINE_FACTOR), n_count,
+    eps_fine = tridiag_smallest_eigenvalues(
+        build_hamiltonian(spec.refined(REFINE_FACTOR)), n_count, tol=tol,
         brackets=(eps_coarse + shift - width, eps_coarse + shift + width),
-        stats=fine, tol=tol)
+        stats=fine)
     e_coarse = np.sqrt(2.0 * spec.m * eps_coarse)
     e_fine = np.sqrt(2.0 * spec.m * eps_fine)
     r2 = REFINE_FACTOR ** 2

@@ -5,8 +5,9 @@ The scalar potential S(x) = -m + m/cos(omega x) on [-L, L], L = pi/(2 omega),
 gives E_n = omega (n + lambda) with lambda = 1/2 + sqrt(4 m^2/omega^2 + 1)/2.
 Eigenfunctions are evaluated through the Gegenbauer form
 (cos wx)^lambda C_n^lambda(sin wx), which has a stable recursion; ladder
-action on coefficient vectors uses the D(n, lambda) factors.  The
-resolution-of-unity measure weight is a Bessel-K construction whose
+action on coefficient vectors uses the D(n, lambda) factors, and coherent
+states are running products of PTModel.weight_step.  The resolution-of-unity
+measure weight is a Bessel-K construction whose
 moments are verified numerically: each moment's tail cutoff is the first
 rung of its geometric ladder where the tail bound holds, and the ladders
 of all moments are probed together, one weight call per chunk of eight
@@ -83,7 +84,33 @@ class PTModel:
         """E_0..E_{n_max}, E_n = omega (n + lambda): exactly equally spaced."""
         return self.omega * (np.arange(n_max + 1) + self.lam)
 
-    def _log_norm(self, n):
+    def weight_step(self, mu, n):
+        """q_n = |c_{n+1}|^2 / |c_n|^2 = mu (n + lambda) / ((n + 1)(n + 2 lambda)
+        (n + 1 + lambda)) at mu = |alpha|^2; n may be an array."""
+        lam = self.lam
+        return mu / (n + 1.0) * (n + lam) / ((n + 2.0 * lam) * (n + 1.0 + lam))
+
+    def log_weight(self, mu, n):
+        """log(mu^n lambda / (n! (2 lambda)_n (n + lambda))) = log |c_n|^2 +
+        log_norm(mu); one level n < 2^102, mu > 0."""
+        lam = self.lam
+        return n * math.log(mu) - math.lgamma(n + 1.0) + (
+            math.lgamma(2.0 * lam) - math.lgamma(n + 2.0 * lam)
+            + math.log(lam / (n + lam)))
+
+    def log_norm(self, mu):
+        """log of the sum of exp(log_weight(mu, n)) over the 4096 levels about
+        its largest term: all of it to rounding while |alpha| < 1e5 (terms fall
+        as exp(-(n - |alpha|)^2 / |alpha|)), a lower bound past that; mu > 0."""
+        b = 2.0 * self.lam
+        peak = math.ceil((math.sqrt((b - 1.0) ** 2 + 4.0 * mu) - b - 1.0) / 2.0)
+        start = max(0, peak - 2048)
+        rel = np.cumsum(np.log(self.weight_step(mu, np.arange(start, start + 4095.0))))
+        top = max(0.0, rel.max())
+        return (self.log_weight(mu, start) + top
+                + math.log(math.exp(-top) + np.exp(rel - top).sum()))
+
+    def _log_basis_norm(self, n):
         lam = self.lam
         return 0.5 * (math.log(self.omega) + log_gamma(n + 1.0)
                       + math.log(n + lam) + 2.0 * log_gamma(lam)
@@ -104,15 +131,15 @@ class PTModel:
         s = np.sin(wx)
         env = np.where(c > 0.0, c ** lam, 0.0)
         poly_prev = np.ones_like(x)
-        yield math.exp(self._log_norm(0)) * env
+        yield math.exp(self._log_basis_norm(0)) * env
         if n_max >= 1:
             poly_cur = 2.0 * lam * s
-            yield math.exp(self._log_norm(1)) * env * poly_cur
+            yield math.exp(self._log_basis_norm(1)) * env * poly_cur
             for n in range(2, n_max + 1):
                 poly_prev, poly_cur = poly_cur, (
                     2.0 * (n + lam - 1.0) * s * poly_cur
                     - (n + 2.0 * lam - 2.0) * poly_prev) / n
-                yield math.exp(self._log_norm(n)) * env * poly_cur
+                yield math.exp(self._log_basis_norm(n)) * env * poly_cur
 
     def eigenfunction_basis(self, n_max, x):
         """Rows u_0..u_{n_max} sampled on the array x."""
@@ -152,16 +179,6 @@ class PTCoherentState:
     coefficients: np.ndarray = field(repr=False)
 
 
-def _log_weights(lam, n_max):
-    # log of [1 / (n! (n+lam) Gamma(2 lam + n))]^(1/2) without the lam*Gamma(2 lam) factor,
-    # from log n! + log Gamma(2 lam + n) = log Gamma(2 lam) + sum_{k<n} log((k + 1)(2 lam + k))
-    n = np.arange(n_max + 1.0)
-    steps = np.empty(n.size)
-    steps[0] = math.lgamma(2.0 * lam)
-    steps[1:] = np.log((n[:-1] + 1.0) * (n[:-1] + 2.0 * lam))
-    return -0.5 * (np.cumsum(steps) + np.log(n + lam))
-
-
 def coherent_coefficients(model, alpha, truncation=60):
     """Closed-form coefficients c_n of the lowering-operator eigenstate.
 
@@ -181,15 +198,14 @@ def coherent_coefficients(model, alpha, truncation=60):
     if not np.isfinite(r).all():
         raise ValueError("alpha must be finite")
     n_idx = np.arange(truncation + 1)
-    logw = _log_weights(model.lam, truncation)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_log_r = n_idx * np.log(r)
-    n_log_r[:, 0] = 0.0  # r^0 = 1, also for alpha = 0, where log r = -inf
-    log_terms = 2.0 * n_log_r + 2.0 * logw
+    # log q_k = 2 log r + log q_k(mu = 1), also where mu = r^2 underflows
+    with np.errstate(divide="ignore"):
+        log_q = 2.0 * np.log(r) + np.log(model.weight_step(1.0, n_idx[:-1]))
+    log_terms = np.cumsum(np.c_[np.zeros(r.shape), log_q], axis=1)
     peak = log_terms.max(axis=1, keepdims=True)
     log_s = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
     phase = np.arctan2(labels.imag, labels.real).reshape(-1, 1)
-    c = np.exp(n_log_r + logw - 0.5 * log_s + 1j * (phase * n_idx))
+    c = np.exp(0.5 * (log_terms - log_s) + 1j * (phase * n_idx))
     if labels.ndim:
         return PTCoherentState(model, labels, c)
     return PTCoherentState(model, complex(labels), c[0])

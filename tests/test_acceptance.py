@@ -83,9 +83,9 @@ def test_03_oracle_equivalence():
 def test_04_spectral_verification():
     start = time.monotonic()
     rep_lin = oracle.spectrum_compare(
-        oracle.linear_potential(count=4001), LINEAR.energies(8), 9)
+        oracle.linear_potential(count=4001), LINEAR.energies(8))
     rep_pt = oracle.spectrum_compare(
-        oracle.pt_potential(count=4001), PT.energies(8), 9)
+        oracle.pt_potential(count=4001), PT.energies(8))
     elapsed = time.monotonic() - start
     ok = (rep_lin["max_rel_error"] <= 1e-3 and rep_pt["max_rel_error"] <= 1e-3
           and 1.8 <= rep_lin["convergence_order"] <= 2.2

@@ -217,3 +217,55 @@ class TestStateVector:
         m = LinearModel(1, 1)
         with pytest.raises(ValueError):
             evolution.StateVector(m, np.zeros(3, dtype=complex), np.zeros(4))
+
+
+def weights(model, alpha, truncation):
+    """|c_n|^2, n = 0..truncation, of the model's coherent-state coefficients."""
+    if isinstance(model, LinearModel):
+        c = coherent_coefficients(CoherentSpec(alpha, truncation))
+    else:
+        c = poschl_teller.coherent_coefficients(model, alpha, truncation).coefficients
+    return np.abs(c) ** 2
+
+
+MODELS = [LinearModel(1, 1), PTModel(1, 1), PTModel(0.5, 2.0)]
+
+
+class TestCoherentLaw:
+    """Each model's weight_step, log_weight and log_norm, and the truncation
+    tail built from them."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1 + 2j, -8j])
+    def test_weight_step_is_coefficient_ratio(self, model, alpha):
+        w = weights(model, alpha, 121)
+        q = model.weight_step(abs(alpha) ** 2, np.arange(121))
+        np.testing.assert_allclose(w[1:], q * w[:-1], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model,alpha,n", [
+        (MODELS[0], 1 + 2j, 20), (MODELS[0], 8.0, 121), (MODELS[1], 5.0, 16),
+        (MODELS[1], 100.0, 146), (MODELS[2], 3 - 1j, 12)], ids=str)
+    def test_tail_bound_brackets_dropped_weight(self, model, alpha, n):
+        # w_n q / (1 - q) >= w_{n+1} (1 + q + q^2 ...) >= the weight past n
+        mu = abs(alpha) ** 2
+        dropped = math.fsum(weights(model, alpha, 4 * n)[n + 1:])
+        q = model.weight_step(mu, n)
+        tail = evolution.tail_bound(model, mu, n)
+        assert dropped * (1.0 - 1e-12) <= tail <= dropped / (1.0 - q) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("model,mu", [
+        (MODELS[0], 64.0), (MODELS[0], 1e8), (MODELS[1], 1e4), (MODELS[1], 1e8),
+        (MODELS[2], 50.0), (MODELS[0], 1e30)], ids=str)
+    def test_smallest_truncation_is_smallest(self, model, mu):
+        # at mu = 1e30 log_weight - log_norm rounds to positive values near q = 1
+        n = evolution.smallest_truncation(model, mu, 1e-10)
+        assert evolution.tail_bound(model, mu, n) <= 1e-10
+        assert evolution.tail_bound(model, mu, n - 1) > 1e-10
+
+    @pytest.mark.parametrize("radius", [0.5, 5.0, 50.0])
+    def test_pt_log_norm_matches_logsumexp(self, radius):
+        model, mu = MODELS[2], radius * radius
+        log_w = np.array([model.log_weight(mu, n) for n in range(1000)])
+        top = log_w.max()
+        direct = top + math.log(np.exp(log_w - top).sum())
+        assert model.log_norm(mu) == pytest.approx(direct, rel=1e-12, abs=1e-14)

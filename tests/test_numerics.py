@@ -385,7 +385,7 @@ class TestTridiagonalEigen:
                 (linear_potential(count=2001), LinearModel(1, 1).energies(7),
                  6, 5, 3)):
             calls.clear()
-            rep = spectrum_compare(spec, analytic, 8)
+            rep = spectrum_compare(spec, analytic)
             rough = calls.count((spec.grid.count - 1) // 8 - 1)
             coarse = calls.count(spec.grid.count - 2)
             fine = calls.count(2 * spec.grid.count - 3)

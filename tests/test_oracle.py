@@ -64,13 +64,13 @@ class TestLinearSpectrum:
     def test_levels_match(self):
         model = LinearModel(1, 1)
         rep = spectrum_compare(linear_potential(count=2001),
-                               model.energies(7), 8)
+                               model.energies(7))
         assert rep["max_rel_error"] <= 1e-3
 
     def test_convergence_order(self):
         model = LinearModel(1, 1)
         rep = spectrum_compare(linear_potential(count=2001),
-                               model.energies(7), 8)
+                               model.energies(7))
         assert 1.8 <= rep["convergence_order"] <= 2.2
         assert rep["converged"]
 
@@ -94,7 +94,7 @@ class TestLinearSpectrum:
 class TestPTSpectrum:
     def test_levels_match(self):
         model = PTModel(1, 1)
-        rep = spectrum_compare(pt_potential(count=2001), model.energies(7), 8)
+        rep = spectrum_compare(pt_potential(count=2001), model.energies(7))
         assert rep["max_rel_error"] <= 1e-3
         assert 1.8 <= rep["convergence_order"] <= 2.2
 
@@ -104,13 +104,13 @@ class TestPTSpectrum:
                                          (0.7, 1), (2, 0.5)])
     def test_second_order_across_lambda(self, m, omega):
         rep = spectrum_compare(pt_potential(m, omega, 2001),
-                               PTModel(m, omega).energies(7), 8)
+                               PTModel(m, omega).energies(7))
         assert 1.9 <= rep["convergence_order"] <= 2.1
         assert rep["max_rel_error"] <= 1e-5
 
     def test_second_order_at_even_point_count(self):
         # 1998 interior rows: both sectors end in one of the two middle rows
-        rep = spectrum_compare(pt_potential(count=2000), PTModel(1, 1).energies(7), 8)
+        rep = spectrum_compare(pt_potential(count=2000), PTModel(1, 1).energies(7))
         assert 1.9 <= rep["convergence_order"] <= 2.1
         assert rep["max_rel_error"] <= 1e-5
 
@@ -126,7 +126,7 @@ class TestPTSpectrum:
     def test_wrong_lambda_flagged(self):
         model = PTModel(1, 1)
         wrong = model.omega * (np.arange(8) + model.lam + 0.1)
-        rep = spectrum_compare(pt_potential(count=2001), wrong, 8)
+        rep = spectrum_compare(pt_potential(count=2001), wrong)
         assert rep["max_rel_error"] > 1e-3 or not rep["converged"]
 
 
@@ -163,7 +163,7 @@ class TestHintsSteerCountsDecide:
             return eps
 
         monkeypatch.setattr(oracle, "tridiag_smallest_eigenvalues", recorded)
-        spectrum_compare(spec, analytic.energies(levels - 1), levels)
+        spectrum_compare(spec, analytic.energies(levels - 1))
         monkeypatch.undo()
         for grid in (spec, spec.refined(2)):
             want = fd_schrodinger_eigenvalues(grid, levels)
@@ -224,12 +224,12 @@ class TestSmallLevels:
     def test_default_levels_keep_absolute_tol(self, spec):
         energies = (LinearModel(1, 1) if spec.label == "linear"
                     else PTModel(1, 1)).energies(3)
-        assert spectrum_compare(spec, energies, 4)["tol"] == oracle.TOL
+        assert spectrum_compare(spec, energies)["tol"] == oracle.TOL
 
     @pytest.mark.parametrize("m,k", [(1e6, 1.0), (1.0, 1e-4)])
     def test_tol_follows_lowest_level(self, m, k):
         rep = spectrum_compare(linear_potential(m, k, 2001),
-                               LinearModel(m, k).energies(3), 4)
+                               LinearModel(m, k).energies(3))
         eps0 = k / (2.0 * m)
         assert 0.5 * oracle.REL_TOL * eps0 <= rep["tol"] <= oracle.REL_TOL * eps0
         assert rep["converged"] and abs(rep["convergence_order"] - 2.0) < 1e-3
@@ -238,7 +238,7 @@ class TestSmallLevels:
         # eps_0 = 5e-9 is below ROUGH_TOL / 2, so the rough level gives no
         # positive lower bound, and no tol reaches the solver as 0
         rep = spectrum_compare(linear_potential(1.0, 1e-8, 2001),
-                               LinearModel(1.0, 1e-8).energies(3), 4)
+                               LinearModel(1.0, 1e-8).energies(3))
         assert rep["tol"] == np.finfo(float).tiny
         assert rep["converged"] and abs(rep["convergence_order"] - 2.0) < 1e-3
 
@@ -246,5 +246,5 @@ class TestSmallLevels:
 class TestCompareValidation:
     def test_count_cap(self):
         model = LinearModel(1, 1)
-        with pytest.raises(ValueError):
-            spectrum_compare(linear_potential(count=1001), model.energies(30), 25)
+        with pytest.raises(ValueError, match="at most 20 levels, got 21"):
+            spectrum_compare(linear_potential(count=1001), model.energies(20))
