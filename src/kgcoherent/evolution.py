@@ -176,24 +176,38 @@ def tail_bound(model, mu, n):
     """
     if mu == 0.0:
         return 0.0
-    if not mu < 2.0 ** 100:
-        raise ValueError(f"|alpha|^2 = {mu:g} is too large to truncate (limit 2^100)")
-    q = model.weight_step(mu, n)
-    if q >= 1.0:
-        return math.inf
-    # |c_n|^2 <= 1, also where rounding of the n log n terms says otherwise
-    log_w = min(model.log_weight(mu, n) - model.log_norm(mu), 0.0)
-    return math.exp(log_w) * q / (1.0 - q)
+    return _tail_bound(model, mu, n, _checked_log_norm(model, mu))
 
 
 def smallest_truncation(model, mu, bound):
     """Smallest n >= 1 with tail_bound(model, mu, n) <= bound: the bound is inf
     until q_n < 1 and falls with n after that, so doubling and bisection find
-    n in O(log n) tail_bound calls and O(1) memory."""
+    n in O(log n) bound evaluations and O(1) memory, all with one
+    model.log_norm(mu)."""
+    if mu == 0.0:
+        return 1
+    log_norm = _checked_log_norm(model, mu)
     lo, hi = 0, 1
-    while tail_bound(model, mu, hi) > bound:
+    while _tail_bound(model, mu, hi, log_norm) > bound:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if tail_bound(model, mu, mid) <= bound else (mid, hi)
+        passes = _tail_bound(model, mu, mid, log_norm) <= bound
+        lo, hi = (lo, mid) if passes else (mid, hi)
     return hi
+
+
+def _checked_log_norm(model, mu):
+    if not mu < 2.0 ** 100:
+        raise ValueError(f"|alpha|^2 = {mu:g} is too large to truncate (limit 2^100)")
+    return model.log_norm(mu)
+
+
+def _tail_bound(model, mu, n, log_norm):
+    # tail_bound at mu > 0, given model.log_norm(mu)
+    q = model.weight_step(mu, n)
+    if q >= 1.0:
+        return math.inf
+    # |c_n|^2 <= 1, also where rounding of the log weights says otherwise
+    log_w = min(model.log_weight(mu, n) - log_norm, 0.0)
+    return math.exp(log_w) * q / (1.0 - q)

@@ -6,7 +6,13 @@ gives E_n = omega (n + lambda) with lambda = 1/2 + sqrt(4 m^2/omega^2 + 1)/2.
 Eigenfunctions are evaluated through the Gegenbauer form
 (cos wx)^lambda C_n^lambda(sin wx), which has a stable recursion; ladder
 action on coefficient vectors uses the D(n, lambda) factors, and coherent
-states are running products of PTModel.weight_step.  The resolution-of-unity
+states are running products of PTModel.weight_step.  What does not depend
+on the label or the time (the levels, log q_n at |alpha| = 1, the energies
+and the lowering factors) is one read-only ladder per (model, truncation),
+built on first use and kept in an LRU cache of _LADDERS entries: bounded,
+because every caller that builds a new PTModel adds an entry, so coherent
+states, lowering, evolution and the phase check pay only their
+label- and time-dependent work.  The resolution-of-unity
 measure weight is a Bessel-K construction whose
 moments are verified numerically: each moment's tail cutoff is the first
 rung of its geometric ladder where the tail bound holds, and the ladders
@@ -22,8 +28,10 @@ or an array of labels, and the phase-coherence check one time or an array
 of times, each in one array computation.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,13 +168,46 @@ def ladder_coeff(n, lam):
     return d if d.ndim else float(d)
 
 
+# Ladders held at once: each benchmark job, and each CLI or test model,
+# builds a new PTModel, so an unbounded cache would grow with every model a
+# process ever sees; 16 ladders of a few hundred levels are tens of KB.
+_LADDERS = 16
+
+
+class _Ladder(NamedTuple):
+    """Label-independent arrays of one (model, truncation N), all read-only."""
+
+    n: np.ndarray  # levels 0..N as floats
+    log_q1: np.ndarray  # log q_k at mu = 1, k = 0..N-1
+    energies: np.ndarray  # omega (n + lambda), n = 0..N
+    lowering: np.ndarray  # (n + 1 + lambda) D(n, lambda), n = 0..N-1
+
+
+@functools.lru_cache(maxsize=_LADDERS)
+def _ladder(model, truncation):
+    """The _Ladder of (model, truncation), built once while it stays among
+    the _LADDERS most recently used; every caller shares the same arrays,
+    so they are made read-only."""
+    lam = model.lam
+    n = np.arange(truncation + 1.0)
+    ladder = _Ladder(n, np.log(model.weight_step(1.0, n[:-1])),
+                     model.omega * (n + lam),
+                     (n[:-1] + 1.0 + lam) * ladder_coeff(n[:-1], lam))
+    for table in ladder:
+        table.flags.writeable = False
+    return ladder
+
+
+def _phases(energies, times):
+    # e^{-i E t}, with E t rounded once as a real product
+    return np.exp(-1j * (energies * times))
+
+
 def apply_annihilation(model, c):
     """Lowering action on a coefficient vector: out_n = c_{n+1} (n+1+lam) D(n,lam)."""
     c = np.asarray(c, dtype=complex)
-    lam = model.lam
     out = np.zeros_like(c)
-    n_idx = np.arange(c.size - 1)
-    out[:-1] = c[1:] * ((n_idx + 1.0 + lam) * ladder_coeff(n_idx, lam))
+    out[:-1] = c[1:] * _ladder(model, c.size - 1).lowering
     return out
 
 
@@ -185,9 +226,10 @@ def coherent_coefficients(model, alpha, truncation=60):
     alpha is one label or a 1-D array of labels.  An array gives a state
     whose .alpha is that array and whose .coefficients has one row per
     label; each row equals the one-label call bit for bit, since one label
-    is row 0 of the same array code.  Built in log space; the result is
-    unit-norm within the truncation tail and satisfies the one-step
-    recursion to near machine precision.
+    is row 0 of the same array code.  Built in log space from the model's
+    cached ladder, so only the label-dependent work is done per call; the
+    result is unit-norm within the truncation tail and satisfies the
+    one-step recursion to near machine precision.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -197,15 +239,19 @@ def coherent_coefficients(model, alpha, truncation=60):
     r = np.abs(labels).reshape(-1, 1)
     if not np.isfinite(r).all():
         raise ValueError("alpha must be finite")
-    n_idx = np.arange(truncation + 1)
-    # log q_k = 2 log r + log q_k(mu = 1), also where mu = r^2 underflows
+    ladder = _ladder(model, truncation)
+    # log |c_n|^2 + log norm: a running sum of log q_k = 2 log r + log q_k(mu = 1),
+    # also where mu = r^2 underflows
+    log_terms = np.empty((r.shape[0], truncation + 1))
+    log_terms[:, 0] = 0.0
+    rest = log_terms[:, 1:]
     with np.errstate(divide="ignore"):
-        log_q = 2.0 * np.log(r) + np.log(model.weight_step(1.0, n_idx[:-1]))
-    log_terms = np.cumsum(np.c_[np.zeros(r.shape), log_q], axis=1)
+        np.add(2.0 * np.log(r), ladder.log_q1, out=rest)
+    np.cumsum(rest, axis=1, out=rest)
     peak = log_terms.max(axis=1, keepdims=True)
     log_s = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
     phase = np.arctan2(labels.imag, labels.real).reshape(-1, 1)
-    c = np.exp(0.5 * (log_terms - log_s) + 1j * (phase * n_idx))
+    c = np.exp(0.5 * (log_terms - log_s) + 1j * (phase * ladder.n))
     if labels.ndim:
         return PTCoherentState(model, labels, c)
     return PTCoherentState(model, complex(labels), c[0])
@@ -217,10 +263,8 @@ def evolve(state, t):
     t is one time, which keeps the shape of state.coefficients, or a 1-D
     array of times for a one-label state, which gives one row per time.
     """
-    n_idx = np.arange(state.coefficients.shape[-1])
-    times = np.asarray(t, dtype=float)[..., None]
-    phases = np.exp(-1j * state.model.omega * (n_idx + state.model.lam) * times)
-    return state.coefficients * phases
+    ladder = _ladder(state.model, state.coefficients.shape[-1] - 1)
+    return state.coefficients * _phases(ladder.energies, np.asarray(t, dtype=float)[..., None])
 
 
 def phase_coherence_check(model, alpha, truncation, t):
@@ -237,8 +281,11 @@ def phase_coherence_check(model, alpha, truncation, t):
     alpha = complex(alpha)
     labels = np.concatenate(([alpha], alpha * np.exp(-1j * model.omega * times)))
     states = coherent_coefficients(model, labels, truncation).coefficients
-    evolved = evolve(PTCoherentState(model, alpha, states[0]), times)
-    target = np.exp(-1j * model.omega * model.lam * times)[:, None] * states[1:]
+    energies = _ladder(model, truncation).energies
+    times = times[:, None]
+    evolved = states[0] * _phases(energies, times)
+    # E_0 = omega lambda: the ground level's phase on every rotated state
+    target = _phases(energies[0], times) * states[1:]
     res = np.linalg.norm(evolved - target, axis=1) / np.linalg.norm(states[0])
     return res if np.ndim(t) else float(res[0])
 

@@ -204,6 +204,28 @@ class TestTruncationTail:
         assert out == ""
         assert f"the smallest --trunc that passes is {smallest}" in err
 
+    def test_named_trunc_at_float64_limit(self, capsys):
+        # at |alpha|^2 = mu = 1e30 the weights about n = mu + k sqrt(mu) are
+        # e^{-k^2/2} / sqrt(2 pi mu) and q / (1 - q) is sqrt(mu) / k to
+        # O(k^3 / sqrt(mu)), so the bound is e^{-k^2/2} / (k sqrt(2 pi)).
+        # 1 - q ~ 6e-15 keeps a rounding of up to about 1% (k to 2e-3); the
+        # difference of n log n terms, rounded, named k = 8.1e7 here
+        def bound(k):
+            return math.exp(-0.5 * k * k) / (k * math.sqrt(2.0 * math.pi))
+        lo, hi = 1.0, 10.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if bound(mid) > TAIL_BOUND else (lo, mid)
+        code, _, err = run(capsys, "state", "--alpha", "1e15")
+        assert code == 2
+        named = int(err.rsplit("passes is ", 1)[1])
+        assert (named - int(1e30)) / 1e15 == pytest.approx(hi, abs=2e-3)
+        # at |alpha| = 1e6 the direct form's rounding moved it by 55 levels
+        code, _, err = run(capsys, "state", "--alpha", "1e6")
+        assert code == 2
+        named = int(err.rsplit("passes is ", 1)[1])
+        assert named == pytest.approx(1000006364873, rel=1e-9)
+
     def test_alpha_past_float_range_rejected(self, capsys):
         code, _, err = run(capsys, "state", "--alpha", "1e200")
         assert code == 2

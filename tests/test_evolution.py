@@ -257,10 +257,31 @@ class TestCoherentLaw:
         (MODELS[0], 64.0), (MODELS[0], 1e8), (MODELS[1], 1e4), (MODELS[1], 1e8),
         (MODELS[2], 50.0), (MODELS[0], 1e30)], ids=str)
     def test_smallest_truncation_is_smallest(self, model, mu):
-        # at mu = 1e30 log_weight - log_norm rounds to positive values near q = 1
+        # at mu = 1e30 a direct n log mu - lgamma(n + 1) - mu rounds by ~1e16
         n = evolution.smallest_truncation(model, mu, 1e-10)
         assert evolution.tail_bound(model, mu, n) <= 1e-10
         assert evolution.tail_bound(model, mu, n - 1) > 1e-10
+
+    def test_search_reads_the_norm_once(self, monkeypatch):
+        # a PT norm is a 4095-level window sum; the search needs it once
+        calls = []
+        log_norm = PTModel.log_norm
+        monkeypatch.setattr(PTModel, "log_norm",
+                            lambda model, mu: calls.append(mu) or log_norm(model, mu))
+        assert evolution.smallest_truncation(MODELS[1], 1e4, 1e-10) == 146
+        assert calls == [1e4]
+
+    @pytest.mark.parametrize("mu", [0.3, 64.0, 1e4, 1e8])
+    def test_linear_log_weight_matches_direct_form(self, mu):
+        # the Stirling form (n >= 16) against the direct form, whose rounding
+        # of about 70 n eps is small at these n
+        model = MODELS[0]
+        for n in sorted({0, 1, 15, 16, 17, 40, int(0.5 * mu), int(0.8 * mu),
+                         int(mu), int(mu + 7.0 * math.sqrt(mu)) + 1, int(3 * mu) + 20}):
+            direct = n * math.log(mu) - math.lgamma(n + 1.0) - mu
+            assert model.log_weight(mu, n) == pytest.approx(
+                direct, rel=1e-14, abs=1e-13 + 100.0 * n * np.finfo(float).eps)
+        assert model.log_norm(mu) == 0.0
 
     @pytest.mark.parametrize("radius", [0.5, 5.0, 50.0])
     def test_pt_log_norm_matches_logsumexp(self, radius):

@@ -127,6 +127,17 @@ class TestBesselK:
         np.testing.assert_allclose(bessel_k_many(nus, z), want, rtol=1e-13,
                                    atol=np.finfo(float).tiny)
 
+    def test_order_lattice_matches_scipy(self):
+        # the stop rule accepts a sum once a halving moves it by at most 3e-7
+        # and relies on the next error being below (3e-7)^2 < 1e-13: hold it
+        # to that across orders 0-40 and z from the long-cutoff end to the
+        # fine-step end, in bands of several z each
+        orders = (0.0, 0.3, 1.0, 1.62, 2.6, 5.0, 10.0, 21.0, 40.0)
+        z = np.geomspace(0.02, 100.0, 300)
+        want = kv(np.reshape(orders, (-1, 1)), z)
+        np.testing.assert_allclose(bessel_k_many(orders, z), want, rtol=1e-13,
+                                   atol=np.finfo(float).tiny)
+
     def test_band_equals_call_on_band_alone(self):
         # reference bands: each from its smallest z up to _BAND_RATIO times it
         nus = (1.3, 2.3, 3.3)
@@ -159,8 +170,9 @@ class TestBesselK:
             bessel_k_many((0.5, 200.0), [300.0, 100.0, 20.0, 5.0])
 
     def test_unconverged_raises(self, monkeypatch):
-        # one halving of the 0.5 step leaves a change near 1e-9 here; the
-        # kernel must say so instead of returning its last iterate
+        # one halving of the 0.5 step moves the sum at z = 3 by about 9e-7,
+        # above the 3e-7 the stop rule accepts; the kernel must say so
+        # instead of returning its last iterate
         monkeypatch.setattr(numerics, "_HALVINGS", 1)
         with pytest.raises(RuntimeError, match=r"not converged.*nu=\[1.5\].*z in \[2, 3\]"):
             bessel_k_many(1.5, [2.0, 3.0])

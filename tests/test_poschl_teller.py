@@ -315,6 +315,113 @@ class TestEvolution:
         assert phase_coherence_check(m, 1 + 0.5j, 60, 0.7) > 1e-8
 
 
+# Reference coherent-state arithmetic, level by level from the model's fields
+# with no cached table: the library's ladder must reproduce it bit for bit.
+
+def reference_coefficients(model, alpha, truncation):
+    labels = np.asarray(alpha, dtype=complex)
+    r = np.abs(labels).reshape(-1, 1)
+    n = np.arange(truncation + 1)
+    lam = model.lam
+    k = n[:-1]
+    q1 = 1.0 / (k + 1.0) * (k + lam) / ((k + 2.0 * lam) * (k + 1.0 + lam))
+    with np.errstate(divide="ignore"):
+        log_q = 2.0 * np.log(r) + np.log(q1)
+    log_terms = np.cumsum(np.c_[np.zeros(r.shape), log_q], axis=1)
+    peak = log_terms.max(axis=1, keepdims=True)
+    log_s = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
+    phase = np.arctan2(labels.imag, labels.real).reshape(-1, 1)
+    c = np.exp(0.5 * (log_terms - log_s) + 1j * (phase * n))
+    return c if labels.ndim else c[0]
+
+
+def reference_lowering(model, c):
+    lam = model.lam
+    n = np.arange(c.size - 1)
+    d = np.sqrt((n + 1.0) * (2.0 * lam + n) / ((n + lam) * (n + 1.0 + lam)))
+    out = np.zeros_like(c)
+    out[:-1] = c[1:] * ((n + 1.0 + lam) * d)
+    return out
+
+
+def reference_evolve(model, c, t):
+    n = np.arange(c.shape[-1])
+    times = np.asarray(t, dtype=float)[..., None]
+    return c * np.exp(-1j * model.omega * (n + model.lam) * times)
+
+
+def reference_phase_check(model, alpha, truncation, times):
+    labels = np.concatenate(([alpha], alpha * np.exp(-1j * model.omega * times)))
+    states = reference_coefficients(model, labels, truncation)
+    evolved = reference_evolve(model, states[0], times)
+    target = np.exp(-1j * model.omega * model.lam * times)[:, None] * states[1:]
+    return np.linalg.norm(evolved - target, axis=1) / np.linalg.norm(states[0])
+
+
+LADDER_MODELS = [(1.0, 1.0), (0.5, 2.0), (0.02, 2.0)]
+LADDER_LABELS = [0.0, 1.3 - 0.4j, np.array([0.0, 0.5j, -2.0 + 1.0j, 3.0])]
+LADDER_TIMES = np.array([0.0, 0.7, 5.5, 11.9])
+
+
+class TestCachedLadder:
+    """Coefficients, lowering, evolution and the phase check read one cached
+    ladder per (model, truncation); it moves no output by a bit."""
+
+    @pytest.mark.parametrize("m,omega", LADDER_MODELS)
+    @pytest.mark.parametrize("truncation", [1, 60, 200])
+    @pytest.mark.parametrize("label", LADDER_LABELS, ids=["zero", "scalar", "array"])
+    def test_outputs_equal_reference(self, m, omega, truncation, label):
+        model = PTModel(m, omega)
+        c = coherent_coefficients(model, label, truncation).coefficients
+        assert np.array_equal(c, reference_coefficients(model, label, truncation))
+        for alpha, row in zip(np.atleast_1d(label), np.atleast_2d(c)):
+            assert np.array_equal(apply_annihilation(model, row),
+                                  reference_lowering(model, row))
+            state = pt.PTCoherentState(model, complex(alpha), row)
+            for t in (LADDER_TIMES[2], LADDER_TIMES):
+                assert np.array_equal(evolve(state, t), reference_evolve(model, row, t))
+            want = reference_phase_check(model, complex(alpha), truncation, LADDER_TIMES)
+            assert np.array_equal(
+                phase_coherence_check(model, alpha, truncation, LADDER_TIMES), want)
+            assert phase_coherence_check(model, alpha, truncation, 0.7) == want[1]
+        # a multi-label state evolves at one time, row by row
+        state = coherent_coefficients(model, label, truncation)
+        assert np.array_equal(evolve(state, 0.7), reference_evolve(model, c, 0.7))
+
+    def test_tables_are_read_only(self):
+        ladder = pt._ladder(PTModel(0.5, 2.0), 60)
+        for table in ladder:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_models_and_truncations_keep_their_own_tables(self):
+        # (1, 1) and (2, 2) share lambda but not omega, (0.5, 2) and (0.5, 1)
+        # share m; interleaved calls must each read their own model's table
+        pairs = [(PTModel(1.0, 1.0), PTModel(2.0, 2.0)),
+                 (PTModel(0.5, 2.0), PTModel(0.5, 1.0))]
+        for a, b in pairs:
+            for model in (a, b, a, b):
+                state = coherent_coefficients(model, 1 + 0.5j, 60)
+                assert np.array_equal(evolve(state, 0.7), reference_evolve(
+                    model, reference_coefficients(model, 1 + 0.5j, 60), 0.7))
+        model = PTModel(0.5, 2.0)
+        for truncation in (200, 60, 200, 1):
+            c = coherent_coefficients(model, 2.0 - 1j, truncation).coefficients
+            assert c.size == truncation + 1
+            assert np.array_equal(c, reference_coefficients(model, 2.0 - 1j, truncation))
+            assert np.array_equal(apply_annihilation(model, c), reference_lowering(model, c))
+
+    def test_cache_is_bounded(self):
+        # every benchmark job and CLI call builds a new model: the cache
+        # must keep only the most recent ladders
+        for k in range(3 * pt._LADDERS):
+            coherent_coefficients(PTModel(1.0 + k / 64.0, 1.0), 0.5, 60)
+        info = pt._ladder.cache_info()
+        assert info.maxsize == pt._LADDERS
+        assert info.currsize <= pt._LADDERS
+
+
 class TestMeasure:
     def test_g_moment_identity(self):
         # Mellin identity: integral of x^n G equals n! Gamma(n + 2 lam)
