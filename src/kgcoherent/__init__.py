@@ -4,7 +4,7 @@ Modules:
   numerics       special-function and linear-algebra kernels
   linear_osc     linear scalar potential S = k|x| - m (closed-form series)
   poschl_teller  relativistic Poschl-Teller model and its coherent states
-  evolution      grid synthesis and quadrature moments (the generic oracle)
+  evolution      shared state, ladder, evolution and lowering; grid oracle
   oracle         finite-difference spectral solver for H_s
   verify         named verification suites
   cli            command-line front end

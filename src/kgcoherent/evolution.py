@@ -1,24 +1,33 @@
-"""Truncated-basis state machinery and quadrature moments.
+"""Coherent-state machinery shared by both models, and the quadrature oracle.
 
-This is the model-independent oracle: synthesize psi(x, t) on a grid from
-coefficients and eigenfunctions, then read <x>, <x^2>, <p>, <p^2> off the
-samples (Simpson quadrature, 4th-order finite-difference derivative).
-All closed-form expectation series elsewhere are cross-checked against it.
-tail_bound bounds the norm a truncated coherent state drops, from its model's law.
+A model keeps only its law: energies, weight_step, log_weight and log_norm,
+the lowering factor lowering(n), eigenfunction rows, half_width and its hard
+wall (inf for the linear model).  From these, a read-only ladder per (model,
+truncation) holds the levels, log q_n at |alpha| = 1, the energies and the
+lowering factors, in an LRU cache of _LADDERS entries.  A StateVector is one
+row, or rows, of coefficients; evolve, apply_annihilation and
+lowering_residual read its ladder, so both models take one code path.
+synthesize samples psi(x, t) on a grid, and position_moments and
+momentum_moments read <x>, <x^2>, <p>, <p^2> off it (Simpson quadrature,
+4th-order finite-difference derivative): the oracle of every closed-form
+series.  tail_bound bounds the norm a truncated coherent state drops.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .linear_osc import LinearModel
 from .numerics import Grid, GridFunction, quadrature
 
 __all__ = [
     "StateVector",
     "SupportError",
     "make_state",
+    "evolve",
+    "apply_annihilation",
     "default_grid",
     "synthesize",
     "position_moments",
@@ -31,34 +40,82 @@ __all__ = [
 
 HEISENBERG_FLOOR = 0.5 * (1.0 - 1e-5)
 _SYNTH_ROWS = 8  # eigenfunction rows per matrix product in synthesize
+# Ladders held at once: every new model (each benchmark job, CLI call or test)
+# adds one; 16 ladders of a few hundred levels are tens of KB.
+_LADDERS = 16
 
 
 class SupportError(RuntimeError):
     """The grid fails to contain the state (norm loss or boundary leak)."""
 
 
+class _Ladder(NamedTuple):
+    """Label- and time-independent arrays of one (model, truncation N), all read-only."""
+
+    n: np.ndarray  # levels 0..N as floats
+    log_q1: np.ndarray  # log q_k at mu = 1, k = 0..N-1
+    energies: np.ndarray  # E_n, n = 0..N
+    lowering: np.ndarray  # model.lowering(n), n = 0..N-1
+
+
+@functools.lru_cache(maxsize=_LADDERS)
+def _ladder(model, truncation):
+    """The _Ladder of (model, truncation), built once while among the _LADDERS
+    most recently used; every caller shares its arrays, so they are read-only."""
+    n = np.arange(truncation + 1.0)
+    ladder = _Ladder(n, np.log(model.weight_step(1.0, n[:-1])),
+                     model.energies(truncation), model.lowering(n[:-1]))
+    for table in ladder:
+        table.flags.writeable = False
+    return ladder
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Coefficients over energy eigenstates of one analytic model."""
+    """Coefficients over one model's levels 0..N: one row, or a 2-D array
+    with one row per state; energies and lowering come from the ladder."""
 
     model: object
     coefficients: np.ndarray = field(repr=False)
-    energies: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex)
-        e = np.asarray(self.energies, dtype=float)
-        if c.shape != e.shape or c.ndim != 1:
-            raise ValueError("coefficients and energies must match in length")
+        if c.ndim not in (1, 2):
+            raise ValueError("coefficients must be one row or a 2-D array of rows")
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "energies", e)
 
 
-def make_state(model, coefficients):
-    """Bundle model, coefficients, and the matching energies."""
-    coefficients = np.asarray(coefficients, dtype=complex)
-    n_max = coefficients.size - 1
-    return StateVector(model, coefficients, model.energies(n_max))
+make_state = StateVector  # make_state(model, coefficients), the older name
+
+
+def _evolved_row(state, t, caller):
+    # evolve(state, t) at one time, for a one-row state only
+    if state.coefficients.ndim != 1:
+        raise ValueError(f"{caller} takes a one-row state")
+    return evolve(state, float(t))
+
+
+def evolve(state, t):
+    """Coefficients c_n e^{-i E_n t} of the state at time t.
+
+    t is one time, which keeps the shape of state.coefficients, or a 1-D
+    array of times for a one-row state, which gives one row per time.
+    """
+    c = state.coefficients
+    times = np.asarray(t, dtype=float)
+    if times.ndim and c.ndim > 1:
+        raise ValueError("evolve takes one time for a multi-row state")
+    energies = _ladder(state.model, c.shape[-1] - 1).energies
+    # E t rounded once as a real product
+    return c * np.exp(-1j * (energies * times[..., None]))
+
+
+def apply_annihilation(model, c):
+    """Lowering action on one row or rows: out_n = model.lowering(n) c_{n+1}, out_N = 0."""
+    c = np.asarray(c, dtype=complex)
+    out = np.zeros_like(c)
+    out[..., :-1] = c[..., 1:] * _ladder(model, c.shape[-1] - 1).lowering
+    return out
 
 
 def default_grid(model, count=4001):
@@ -73,12 +130,11 @@ def synthesize(state, grid, t):
     are summed _SYNTH_ROWS rows per matrix product, so the levels x points
     basis (1.6 MB for 51 levels on 4001 points) is never held at once.
     """
+    weights = _evolved_row(state, t, "synthesize")
+    wall = state.model.wall
+    if grid.x_min < -wall - 1e-12 or grid.x_max > wall + 1e-12:
+        raise ValueError("grid exceeds the hard-wall support")
     x = grid.points()
-    if not isinstance(state.model, LinearModel):
-        half = state.model.half_width
-        if grid.x_min < -half - 1e-12 or grid.x_max > half + 1e-12:
-            raise ValueError("grid exceeds the hard-wall support")
-    weights = state.coefficients * np.exp(-1j * state.energies * float(t))
     # the rows are real: real and imaginary weights in one real product
     w = np.stack([weights.real, weights.imag])
     psi = np.zeros((2, x.size))
@@ -149,20 +205,19 @@ def heisenberg_product(state, grid, t):
 
 
 def lowering_residual(state, t):
-    """Distance of the evolved state from the lowering-operator eigenspace.
+    """Distance of the state evolved to time t from the lowering-operator
+    eigenspace, for either model.
 
-    Applies out_n = sqrt(n+1) c_{n+1}(t) and returns
-    min_mu ||out - mu c(t)|| / ||c(t)|| (mu = <c, out>/<c, c>).
+    With c = evolve(state, t) and out = apply_annihilation(model, c), returns
+    min_mu ||out - mu c|| / ||c|| (mu = <c, out>/<c, c>).  A linear coherent
+    state leaves the eigenspace as it evolves; a Poschl-Teller one, whose
+    spectrum is equally spaced, stays in it to rounding.
     """
-    if not isinstance(state.model, LinearModel):
-        raise ValueError("lowering_residual is defined for the linear model")
-    c = state.coefficients * np.exp(-1j * state.energies * float(t))
+    c = _evolved_row(state, t, "lowering_residual")
     norm2 = np.vdot(c, c).real
     if norm2 == 0.0:
         raise ValueError("zero state")
-    out = np.zeros_like(c)
-    n_idx = np.arange(c.size - 1)
-    out[:-1] = np.sqrt(n_idx + 1.0) * c[1:]
+    out = apply_annihilation(state.model, c)
     mu = np.vdot(c, out) / norm2
     return float(np.linalg.norm(out - mu * c) / math.sqrt(norm2))
 

@@ -57,6 +57,13 @@ class LinearModel:
         """12/sqrt(k): [-L, L] holds the low states to far below rounding."""
         return 12.0 / math.sqrt(self.k)
 
+    wall = math.inf  # no hard wall: the eigenfunctions reach every x
+
+    @staticmethod
+    def lowering(n):
+        """(a c)_n / c_{n+1} = sqrt(n + 1); array n too."""
+        return np.sqrt(n + 1.0)
+
     @staticmethod
     def weight_step(mu, n):
         """q_n = |c_{n+1}|^2 / |c_n|^2 = mu / (n + 1), mu = |alpha|^2; array n too."""
@@ -111,10 +118,6 @@ class LinearModel:
                 prev, cur = cur, (math.sqrt(2.0 / (n + 1)) * xi * cur
                                   - math.sqrt(n / (n + 1.0)) * prev)
                 yield cur
-
-    def eigenfunction_basis(self, n_max, x):
-        """Rows u_0..u_{n_max} sampled on the array x (stable recursion)."""
-        return np.array(list(self.eigenfunction_rows(n_max, x)))
 
     def energies(self, n_max):
         """E_0..E_{n_max}, E_n = sqrt((2n+1) k) (positive branch).

@@ -4,42 +4,38 @@ annihilation-operator coherent states.
 The scalar potential S(x) = -m + m/cos(omega x) on [-L, L], L = pi/(2 omega),
 gives E_n = omega (n + lambda) with lambda = 1/2 + sqrt(4 m^2/omega^2 + 1)/2.
 Eigenfunctions are evaluated through the Gegenbauer form
-(cos wx)^lambda C_n^lambda(sin wx), which has a stable recursion; ladder
-action on coefficient vectors uses the D(n, lambda) factors, and coherent
-states are running products of PTModel.weight_step.  What does not depend
-on the label or the time (the levels, log q_n at |alpha| = 1, the energies
-and the lowering factors) is one read-only ladder per (model, truncation),
-built on first use and kept in an LRU cache of _LADDERS entries: bounded,
-because every caller that builds a new PTModel adds an entry, so coherent
-states, lowering, evolution and the phase check pay only their
-label- and time-dependent work.  The resolution-of-unity
-measure weight is a Bessel-K construction whose
-moments are verified numerically: each moment's tail cutoff is the first
-rung of its geometric ladder where the tail bound holds, and the ladders
-of all moments are probed together, one weight call per chunk of eight
-rungs over every moment still open.  The integral below the cutoff is the
-package's one Simpson rule (numerics.quadrature) in u = sqrt(x), on each
-moment's own grid, doubled until it settles.  The Simpson levels are
-batched too: a level is one weight call over the new samples of every
-moment still open and one quadrature call over their rows, in
-s = u / u_max on one unit grid, and numerics.bessel_k_many splits the
-wide z range of such a call into bands.  Coherent states take one label
+(cos wx)^lambda C_n^lambda(sin wx), which has a stable recursion.  The
+model's law is its weight steps (PTModel.weight_step), whose running
+products are the coherent states, and its lowering factors
+(n + 1 + lambda) D(n, lambda) from the ladder algebra.  Coherent states
+are evolution.StateVectors built on evolution's cached ladder of the
+model, so a call pays only its label-dependent work; evolve and
+apply_annihilation are evolution's, re-exported here.  The
+resolution-of-unity measure weight is a Bessel-K
+construction whose moments are verified numerically: each moment's tail
+cutoff is the first rung of its geometric ladder where the tail bound
+holds, and the ladders of all moments are probed together, one weight call
+per chunk of eight rungs over every moment still open.  The integral below
+the cutoff is the package's one Simpson rule (numerics.quadrature) in
+u = sqrt(x), on each moment's own grid, doubled until it settles.  The
+Simpson levels are batched too: a level is one weight call over the new
+samples of every moment still open and one quadrature call over their
+rows, in s = u / u_max on one unit grid, and numerics.bessel_k_many splits
+the wide z range of such a call into bands.  Coherent states take one label
 or an array of labels, and the phase-coherence check one time or an array
 of times, each in one array computation.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import StateVector, _ladder, apply_annihilation, evolve
 from .numerics import Grid, GridFunction, bessel_k_many, log_gamma, quadrature
 
 __all__ = [
     "PTModel",
-    "PTCoherentState",
     "lambda_of",
     "ladder_coeff",
     "apply_annihilation",
@@ -87,6 +83,14 @@ class PTModel:
     @property
     def half_width(self):
         return math.pi / (2.0 * self.omega)
+
+    wall = half_width  # the hard walls at +/- L, where every u_n vanishes
+
+    def lowering(self, n):
+        """(A c)_n / c_{n+1} = (n + 1 + lambda) D(n, lambda); array n too.  Not
+        from weight_step, so the eigenstate check tests the coefficients."""
+        lam = self.lam
+        return (n + 1.0 + lam) * ladder_coeff(n, lam)
 
     def energies(self, n_max):
         """E_0..E_{n_max}, E_n = omega (n + lambda): exactly equally spaced."""
@@ -149,10 +153,6 @@ class PTModel:
                     - (n + 2.0 * lam - 2.0) * poly_prev) / n
                 yield math.exp(self._log_basis_norm(n)) * env * poly_cur
 
-    def eigenfunction_basis(self, n_max, x):
-        """Rows u_0..u_{n_max} sampled on the array x."""
-        return np.array(list(self.eigenfunction_rows(n_max, x)))
-
 
 def ladder_coeff(n, lam):
     """D(n, lambda) = sqrt((n+1)(2 lambda + n) / ((n+lambda)(n+1+lambda))).
@@ -168,68 +168,16 @@ def ladder_coeff(n, lam):
     return d if d.ndim else float(d)
 
 
-# Ladders held at once: each benchmark job, and each CLI or test model,
-# builds a new PTModel, so an unbounded cache would grow with every model a
-# process ever sees; 16 ladders of a few hundred levels are tens of KB.
-_LADDERS = 16
-
-
-class _Ladder(NamedTuple):
-    """Label-independent arrays of one (model, truncation N), all read-only."""
-
-    n: np.ndarray  # levels 0..N as floats
-    log_q1: np.ndarray  # log q_k at mu = 1, k = 0..N-1
-    energies: np.ndarray  # omega (n + lambda), n = 0..N
-    lowering: np.ndarray  # (n + 1 + lambda) D(n, lambda), n = 0..N-1
-
-
-@functools.lru_cache(maxsize=_LADDERS)
-def _ladder(model, truncation):
-    """The _Ladder of (model, truncation), built once while it stays among
-    the _LADDERS most recently used; every caller shares the same arrays,
-    so they are made read-only."""
-    lam = model.lam
-    n = np.arange(truncation + 1.0)
-    ladder = _Ladder(n, np.log(model.weight_step(1.0, n[:-1])),
-                     model.omega * (n + lam),
-                     (n[:-1] + 1.0 + lam) * ladder_coeff(n[:-1], lam))
-    for table in ladder:
-        table.flags.writeable = False
-    return ladder
-
-
-def _phases(energies, times):
-    # e^{-i E t}, with E t rounded once as a real product
-    return np.exp(-1j * (energies * times))
-
-
-def apply_annihilation(model, c):
-    """Lowering action on a coefficient vector: out_n = c_{n+1} (n+1+lam) D(n,lam)."""
-    c = np.asarray(c, dtype=complex)
-    out = np.zeros_like(c)
-    out[:-1] = c[1:] * _ladder(model, c.size - 1).lowering
-    return out
-
-
-@dataclass(frozen=True)
-class PTCoherentState:
-    """Eigenstate of the lowering operator with eigenvalue alpha, truncated at N."""
-
-    model: PTModel
-    alpha: complex
-    coefficients: np.ndarray = field(repr=False)
-
-
 def coherent_coefficients(model, alpha, truncation=60):
-    """Closed-form coefficients c_n of the lowering-operator eigenstate.
+    """The lowering-operator eigenstate as an evolution.StateVector.
 
-    alpha is one label or a 1-D array of labels.  An array gives a state
-    whose .alpha is that array and whose .coefficients has one row per
-    label; each row equals the one-label call bit for bit, since one label
-    is row 0 of the same array code.  Built in log space from the model's
-    cached ladder, so only the label-dependent work is done per call; the
-    result is unit-norm within the truncation tail and satisfies the
-    one-step recursion to near machine precision.
+    alpha is one label, which gives one row of coefficients c_0..c_N, or a
+    1-D array of labels, which gives one row per label; each row equals the
+    one-label call bit for bit, since one label is row 0 of the same array
+    code.  Built in log space from the model's cached ladder, so only the
+    label-dependent work is done per call; the result is unit-norm within
+    the truncation tail and satisfies the one-step recursion to near
+    machine precision.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -252,19 +200,7 @@ def coherent_coefficients(model, alpha, truncation=60):
     log_s = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
     phase = np.arctan2(labels.imag, labels.real).reshape(-1, 1)
     c = np.exp(0.5 * (log_terms - log_s) + 1j * (phase * ladder.n))
-    if labels.ndim:
-        return PTCoherentState(model, labels, c)
-    return PTCoherentState(model, complex(labels), c[0])
-
-
-def evolve(state, t):
-    """Phases e^{-i omega (n + lambda) t} on the positive-energy coefficients.
-
-    t is one time, which keeps the shape of state.coefficients, or a 1-D
-    array of times for a one-label state, which gives one row per time.
-    """
-    ladder = _ladder(state.model, state.coefficients.shape[-1] - 1)
-    return state.coefficients * _phases(ladder.energies, np.asarray(t, dtype=float)[..., None])
+    return StateVector(model, c if labels.ndim else c[0])
 
 
 def phase_coherence_check(model, alpha, truncation, t):
@@ -281,11 +217,10 @@ def phase_coherence_check(model, alpha, truncation, t):
     alpha = complex(alpha)
     labels = np.concatenate(([alpha], alpha * np.exp(-1j * model.omega * times)))
     states = coherent_coefficients(model, labels, truncation).coefficients
-    energies = _ladder(model, truncation).energies
-    times = times[:, None]
-    evolved = states[0] * _phases(energies, times)
+    evolved = evolve(StateVector(model, states[0]), times)
     # E_0 = omega lambda: the ground level's phase on every rotated state
-    target = _phases(energies[0], times) * states[1:]
+    ground = _ladder(model, truncation).energies[0]
+    target = np.exp(-1j * (ground * times[:, None])) * states[1:]
     res = np.linalg.norm(evolved - target, axis=1) / np.linalg.norm(states[0])
     return res if np.ndim(t) else float(res[0])
 

@@ -71,7 +71,8 @@ def verify_spectra():
 
 
 def verify_coherence():
-    """PT eigenstate/phase-coherence identities and linear-model decoherence."""
+    """PT eigenstate/phase-coherence identities, and one lowering residual at
+    t = 1 on both models: the linear state decoheres, the PT state does not."""
     checks = []
     ptm = poschl_teller.PTModel(1.0, 1.0)
     alphas = [0.5, 1.0, 1 + 0.5j, 1 + 2j, 2 - 1j]
@@ -96,6 +97,10 @@ def verify_coherence():
     res_t1 = evolution.lowering_residual(state, 1.0)
     checks.append(_check("linear_lowering_residual_t1", res_t1, 1e-3,
                          passed=res_t1 > 1e-3))
+    # the same residual on a PT state stays at the phase-coherence bound
+    pt_state = poschl_teller.coherent_coefficients(ptm, 1 + 2j, PT_TRUNCATION)
+    checks.append(_check("pt_lowering_residual_t1",
+                         evolution.lowering_residual(pt_state, 1.0), 1e-12))
     return checks
 
 

@@ -22,6 +22,11 @@ from kgcoherent.numerics import Grid, GridFunction, quadrature
 from kgcoherent.poschl_teller import PTModel
 
 
+def eigenfunction_basis(model, n_max, x):
+    """Rows u_0..u_{n_max} of the model's eigenfunctions, sampled on x."""
+    return np.array(list(model.eigenfunction_rows(n_max, x)))
+
+
 def linear_coherent_state(alpha, truncation=50, model=None):
     model = model or LinearModel(1, 1)
     return make_state(model, coherent_coefficients(CoherentSpec(alpha, truncation)))
@@ -87,12 +92,12 @@ class TestSynthesize:
         # reference: the whole basis at once; 4 and 51 rows cover a lone
         # partial block and full blocks with a partial one after them
         pt_model = PTModel(1.3, 0.7)
-        pt_c = poschl_teller.coherent_coefficients(pt_model, 0.8 - 0.4j, truncation)
         for state in (linear_coherent_state(1 + 2j, truncation),
-                      make_state(pt_model, pt_c.coefficients)):
+                      poschl_teller.coherent_coefficients(pt_model, 0.8 - 0.4j, truncation)):
             grid = default_grid(state.model, 4001)
-            basis = state.model.eigenfunction_basis(truncation, grid.points())
-            w = state.coefficients * np.exp(-1j * state.energies * 0.7)
+            basis = eigenfunction_basis(state.model, truncation, grid.points())
+            energies = state.model.energies(truncation)
+            w = state.coefficients * np.exp(-1j * energies * 0.7)
             want = w.real @ basis + 1j * (w.imag @ basis)
             got = synthesize(state, grid, 0.7).values
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -200,11 +205,24 @@ class TestLoweringResidual:
         state = linear_coherent_state(0.0, truncation=5)
         assert lowering_residual(state, 0.0) == 0.0
 
-    def test_pt_state_rejected(self):
+    # The paper's contrast, one function on both models: the linear spectrum
+    # is not equally spaced, so its state leaves the lowering eigenspace; the
+    # PT state only rotates its label and stays in it to rounding.
+    @pytest.mark.parametrize("t", [1.0, 5.0, 12.9])
+    def test_linear_state_leaves_the_eigenspace(self, t):
+        assert lowering_residual(linear_coherent_state(1 + 2j), t) > 0.1
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 5.0, 12.9])
+    @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (0.5, 2.0), (0.02, 2.0)])
+    def test_pt_state_stays_in_the_eigenspace(self, m, omega, t):
+        state = poschl_teller.coherent_coefficients(PTModel(m, omega), 1 + 2j, 60)
+        assert lowering_residual(state, t) <= 1e-12
+
+    def test_pt_residual_sees_a_non_eigenstate(self):
         m = PTModel(1, 1)
-        state = make_state(m, poschl_teller.coherent_coefficients(m, 1.0, 10).coefficients)
-        with pytest.raises(ValueError):
-            lowering_residual(state, 0.0)
+        c = poschl_teller.coherent_coefficients(m, 1 + 2j, 60).coefficients
+        c[3] *= 1.0 + 1e-6
+        assert lowering_residual(make_state(m, c), 1.0) > 1e-9
 
     def test_zero_state_rejected(self):
         state = make_state(LinearModel(1, 1), np.zeros(4, dtype=complex))
@@ -213,10 +231,44 @@ class TestLoweringResidual:
 
 
 class TestStateVector:
-    def test_mismatched_lengths_rejected(self):
+    def test_coefficients_beyond_rows_rejected(self):
         m = LinearModel(1, 1)
-        with pytest.raises(ValueError):
-            evolution.StateVector(m, np.zeros(3, dtype=complex), np.zeros(4))
+        for c in (np.complex128(1.0), np.zeros((2, 3, 4), dtype=complex)):
+            with pytest.raises(ValueError, match="one row or a 2-D array"):
+                evolution.StateVector(m, c)
+
+    def test_pt_coherent_state_is_a_state_vector(self):
+        m = PTModel(1, 1)
+        state = poschl_teller.coherent_coefficients(m, np.array([0.5, 1 + 2j]), 10)
+        assert isinstance(state, evolution.StateVector) and state.model == m
+        assert make_state is evolution.StateVector
+        assert poschl_teller.evolve is evolution.evolve
+        assert poschl_teller.apply_annihilation is evolution.apply_annihilation
+
+
+class TestOneRowOnly:
+    """A multi-row state evolves at one time; the calls that read one state
+    reject it rather than pair rows with times or sum rows together."""
+
+    def rows(self):
+        m = PTModel(1, 1)
+        return poschl_teller.coherent_coefficients(m, np.array([0.5, 1 + 1j]), 10)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.7], [0.0, 0.7, 5.5]])
+    def test_evolve_rejects_times_on_rows(self, times):
+        with pytest.raises(ValueError, match="one time for a multi-row state"):
+            evolution.evolve(self.rows(), np.array(times))
+        assert evolution.evolve(self.rows(), 0.7).shape == (2, 11)
+
+    def test_synthesize_rejects_rows(self):
+        state = self.rows()
+        with pytest.raises(ValueError, match="synthesize takes a one-row state"):
+            synthesize(state, default_grid(state.model, 101), 0.0)
+
+    def test_lowering_residual_rejects_rows(self):
+        rows = np.stack([linear_coherent_state(a).coefficients for a in (0.5, 1 + 2j)])
+        with pytest.raises(ValueError, match="lowering_residual takes a one-row state"):
+            lowering_residual(make_state(LinearModel(1, 1), rows), 1.0)
 
 
 def weights(model, alpha, truncation):

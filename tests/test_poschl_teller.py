@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer, gammaln
 
-from kgcoherent import poschl_teller as pt
+from kgcoherent import evolution, poschl_teller as pt, verify
+from kgcoherent.evolution import StateVector, lowering_residual, make_state
+from kgcoherent.linear_osc import LinearModel
 from kgcoherent.numerics import Grid, GridFunction, quadrature
 from kgcoherent.poschl_teller import (
     PTModel,
@@ -24,6 +26,11 @@ from kgcoherent.poschl_teller import (
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def eigenfunction_basis(model, n_max, x):
+    """Rows u_0..u_{n_max} of the model's eigenfunctions, sampled on x."""
+    return np.array(list(model.eigenfunction_rows(n_max, x)))
 
 
 class TestLambdaAndSpectrum:
@@ -74,23 +81,23 @@ class TestLambdaAndSpectrum:
 
 class TestEigenfunctions:
     def test_odd_parity_at_origin(self):
-        assert PTModel(1, 1).eigenfunction_basis(1, [0.0])[1, 0] == 0.0
+        assert eigenfunction_basis(PTModel(1, 1), 1, [0.0])[1, 0] == 0.0
 
     def test_vanishes_at_wall(self):
         # cos(omega L) only reaches ~6e-17 in floats; (cos)^lam crushes it
         m = PTModel(1, 1)
-        u0 = m.eigenfunction_basis(0, [m.half_width, -m.half_width])[0]
+        u0 = eigenfunction_basis(m, 0, [m.half_width, -m.half_width])[0]
         assert abs(u0[0]) < 1e-20
         assert abs(u0[1]) < 1e-20
 
     def test_zero_outside_wall(self):
         m = PTModel(1, 1)
-        assert m.eigenfunction_basis(4, [m.half_width * 1.5])[4, 0] == 0.0
+        assert eigenfunction_basis(m, 4, [m.half_width * 1.5])[4, 0] == 0.0
 
     def test_orthonormality(self):
         m = PTModel(1, 1)
         g = Grid(-m.half_width, m.half_width, 4001)
-        basis = m.eigenfunction_basis(8, g.points())
+        basis = eigenfunction_basis(m, 8, g.points())
         for i in range(9):
             for j in range(i, 9):
                 val = quadrature(GridFunction(g, basis[i] * basis[j])).real
@@ -105,7 +112,7 @@ class TestEigenfunctions:
         lam = m.lam
         x = np.linspace(-0.9 * m.half_width, 0.9 * m.half_width, 9)
         wx = m.omega * x
-        basis = m.eigenfunction_basis(7, x)
+        basis = eigenfunction_basis(m, 7, x)
         for n in (0, 1, 4, 7):
             log_h = (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0)
                      + gammaln(n + 2.0 * lam) - gammaln(n + 1.0)
@@ -211,6 +218,24 @@ class TestCoherentState:
             / np.linalg.norm(state.coefficients)
         assert res <= 1e-10
 
+    def test_eigenstate_check_is_not_an_identity(self, monkeypatch):
+        # Lowering factors built from 1/sqrt(weight_step(1, n)) would follow
+        # any change of the coefficients, and pt_eigenstate_residual would
+        # check an identity.  Perturb one weight step by 1e-6 and build the
+        # verify suite's model anew: the residual must see it.
+        step = PTModel.weight_step
+
+        def perturbed(self, mu, n):
+            return step(self, mu, n) * np.where(np.asarray(n) == 2, 1.0 + 1e-6, 1.0)
+
+        monkeypatch.setattr(PTModel, "weight_step", perturbed)
+        evolution._ladder.cache_clear()
+        try:
+            checks = {c["name"]: c["value"] for c in verify.verify_coherence()}
+        finally:
+            evolution._ladder.cache_clear()
+        assert checks["pt_eigenstate_residual"] > 1e-10
+
     def test_validation(self):
         with pytest.raises(ValueError):
             coherent_coefficients(PTModel(1, 1), 1.0, 0)
@@ -227,7 +252,7 @@ class TestCoherentState:
         alphas = np.array([0.5, 0.0, 1 + 2j, -2.5j, 1e-300, 3 - 1j, 0.0])
         state = coherent_coefficients(m, alphas, 60)
         assert state.coefficients.shape == (alphas.size, 61)
-        assert np.array_equal(state.alpha, alphas)
+        assert isinstance(state, StateVector) and state.model == m
         for alpha, row in zip(alphas, state.coefficients):
             one = coherent_coefficients(m, alpha, 60)
             assert one.coefficients.ndim == 1
@@ -303,9 +328,8 @@ class TestEvolution:
 
         def perturbed(model, alpha, truncation=60):
             state = builder(model, alpha, truncation)
-            scale = 1.0 + 1e-3 * np.real(state.alpha)
-            return pt.PTCoherentState(model, state.alpha, state.coefficients
-                                      * np.asarray(scale)[..., None])
+            scale = 1.0 + 1e-3 * np.real(alpha)
+            return StateVector(model, state.coefficients * np.asarray(scale)[..., None])
 
         m = PTModel(1, 1)
         times = np.array([0.7, 2.0, 4.0])
@@ -335,19 +359,28 @@ def reference_coefficients(model, alpha, truncation):
     return c if labels.ndim else c[0]
 
 
+def reference_energies(model, n):
+    if isinstance(model, LinearModel):
+        return np.sqrt((2.0 * n + 1.0) * model.k)
+    return model.omega * (n + model.lam)
+
+
 def reference_lowering(model, c):
-    lam = model.lam
     n = np.arange(c.size - 1)
-    d = np.sqrt((n + 1.0) * (2.0 * lam + n) / ((n + lam) * (n + 1.0 + lam)))
+    if isinstance(model, LinearModel):
+        factor = np.sqrt(n + 1.0)
+    else:
+        lam = model.lam
+        d = np.sqrt((n + 1.0) * (2.0 * lam + n) / ((n + lam) * (n + 1.0 + lam)))
+        factor = (n + 1.0 + lam) * d
     out = np.zeros_like(c)
-    out[:-1] = c[1:] * ((n + 1.0 + lam) * d)
+    out[:-1] = c[1:] * factor
     return out
 
 
 def reference_evolve(model, c, t):
-    n = np.arange(c.shape[-1])
     times = np.asarray(t, dtype=float)[..., None]
-    return c * np.exp(-1j * model.omega * (n + model.lam) * times)
+    return c * np.exp(-1j * (reference_energies(model, np.arange(c.shape[-1])) * times))
 
 
 def reference_phase_check(model, alpha, truncation, times):
@@ -364,8 +397,9 @@ LADDER_TIMES = np.array([0.0, 0.7, 5.5, 11.9])
 
 
 class TestCachedLadder:
-    """Coefficients, lowering, evolution and the phase check read one cached
-    ladder per (model, truncation); it moves no output by a bit."""
+    """Both models' coefficients, lowering, evolution and the PT phase check
+    read evolution's one cached ladder per (model, truncation); it moves no
+    output by a bit."""
 
     @pytest.mark.parametrize("m,omega", LADDER_MODELS)
     @pytest.mark.parametrize("truncation", [1, 60, 200])
@@ -377,7 +411,7 @@ class TestCachedLadder:
         for alpha, row in zip(np.atleast_1d(label), np.atleast_2d(c)):
             assert np.array_equal(apply_annihilation(model, row),
                                   reference_lowering(model, row))
-            state = pt.PTCoherentState(model, complex(alpha), row)
+            state = make_state(model, row)
             for t in (LADDER_TIMES[2], LADDER_TIMES):
                 assert np.array_equal(evolve(state, t), reference_evolve(model, row, t))
             want = reference_phase_check(model, complex(alpha), truncation, LADDER_TIMES)
@@ -388,23 +422,52 @@ class TestCachedLadder:
         state = coherent_coefficients(model, label, truncation)
         assert np.array_equal(evolve(state, 0.7), reference_evolve(model, c, 0.7))
 
+    @pytest.mark.parametrize("m,k", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)])
+    @pytest.mark.parametrize("truncation", [1, 50, 200])
+    def test_linear_ladder_equals_reference(self, m, k, truncation):
+        # lowering sqrt(n + 1) and energies sqrt((2n + 1) k), one level at a
+        # time in stdlib floats (both square roots are correctly rounded)
+        model = LinearModel(m, k)
+        ladder = evolution._ladder(model, truncation)
+        assert ladder.lowering.tolist() == [math.sqrt(n + 1.0) for n in range(truncation)]
+        assert ladder.energies.tolist() == [
+            math.sqrt((2.0 * n + 1.0) * k) for n in range(truncation + 1)]
+        rng = np.random.default_rng(truncation)
+        c = rng.normal(size=truncation + 1) + 1j * rng.normal(size=truncation + 1)
+        assert np.array_equal(apply_annihilation(model, c), reference_lowering(model, c))
+        state = make_state(model, c)
+        for t in (LADDER_TIMES[2], LADDER_TIMES):
+            assert np.array_equal(evolve(state, t), reference_evolve(model, c, t))
+        # the residual at t reads the same evolved and lowered vectors
+        ct = reference_evolve(model, c, 0.7)
+        out = reference_lowering(model, ct)
+        mu = np.vdot(ct, out) / np.vdot(ct, ct).real
+        want = np.linalg.norm(out - mu * ct) / np.linalg.norm(ct)
+        assert lowering_residual(state, 0.7) == pytest.approx(want, rel=1e-14)
+
     def test_tables_are_read_only(self):
-        ladder = pt._ladder(PTModel(0.5, 2.0), 60)
-        for table in ladder:
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[0] = 1.0
+        for model in (PTModel(0.5, 2.0), LinearModel(0.5, 2.0)):
+            for table in evolution._ladder(model, 60):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 1.0
 
     def test_models_and_truncations_keep_their_own_tables(self):
         # (1, 1) and (2, 2) share lambda but not omega, (0.5, 2) and (0.5, 1)
-        # share m; interleaved calls must each read their own model's table
+        # share m, and the linear (1, 1) and (1, 2) share m; PT and linear
+        # models with equal fields are distinct keys.  Interleaved calls must
+        # each read their own model's table.
         pairs = [(PTModel(1.0, 1.0), PTModel(2.0, 2.0)),
-                 (PTModel(0.5, 2.0), PTModel(0.5, 1.0))]
+                 (PTModel(0.5, 2.0), PTModel(0.5, 1.0)),
+                 (LinearModel(1.0, 1.0), LinearModel(1.0, 2.0)),
+                 (LinearModel(1.0, 1.0), PTModel(1.0, 1.0))]
+        c = reference_coefficients(PTModel(1.0, 1.0), 1 + 0.5j, 60)
         for a, b in pairs:
             for model in (a, b, a, b):
-                state = coherent_coefficients(model, 1 + 0.5j, 60)
-                assert np.array_equal(evolve(state, 0.7), reference_evolve(
-                    model, reference_coefficients(model, 1 + 0.5j, 60), 0.7))
+                assert np.array_equal(evolve(make_state(model, c), 0.7),
+                                      reference_evolve(model, c, 0.7))
+                assert np.array_equal(apply_annihilation(model, c),
+                                      reference_lowering(model, c))
         model = PTModel(0.5, 2.0)
         for truncation in (200, 60, 200, 1):
             c = coherent_coefficients(model, 2.0 - 1j, truncation).coefficients
@@ -415,11 +478,12 @@ class TestCachedLadder:
     def test_cache_is_bounded(self):
         # every benchmark job and CLI call builds a new model: the cache
         # must keep only the most recent ladders
-        for k in range(3 * pt._LADDERS):
+        for k in range(3 * evolution._LADDERS):
             coherent_coefficients(PTModel(1.0 + k / 64.0, 1.0), 0.5, 60)
-        info = pt._ladder.cache_info()
-        assert info.maxsize == pt._LADDERS
-        assert info.currsize <= pt._LADDERS
+            evolve(make_state(LinearModel(1.0, 1.0 + k / 64.0), np.ones(4)), 0.7)
+        info = evolution._ladder.cache_info()
+        assert info.maxsize == evolution._LADDERS
+        assert info.currsize <= evolution._LADDERS
 
 
 class TestMeasure:
