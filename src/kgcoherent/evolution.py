@@ -70,10 +70,13 @@ def _ladder(model, truncation):
     return ladder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Coefficients over one model's levels 0..N: one row, or a 2-D array
-    with one row per state; energies and lowering come from the ladder."""
+    with one row per state; energies and lowering come from the ladder.
+
+    Equality and hash are by identity: compare coefficients with numpy.
+    """
 
     model: object
     coefficients: np.ndarray = field(repr=False)

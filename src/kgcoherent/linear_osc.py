@@ -6,15 +6,22 @@ eigenfunctions are Hermite functions.  Annihilation-operator coherent
 states built on the positive-energy sector carry the usual Poissonian
 coefficients, running products of LinearModel.weight_step; their expectation
 values evolve with the non-equally-spaced relativistic phases, which is what
-the closed-form series below encode.
+the closed-form series below encode.  The t-independent part of the series
+(alpha, the weights |c_n|^2, the gaps E_n - E_{n+1} and E_n - E_{n+2}, and
+the truncation's evolution.tail_bound) is one read-only table per (model,
+spec), in an LRU cache of _TABLES entries; each t then costs its phases,
+one cos and one sin of each, and three compensated sums.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import evolution
 from .numerics import compensated_sum
 
 __all__ = [
@@ -29,6 +36,9 @@ __all__ = [
 ]
 
 _VAR_CLAMP = -1e-10
+# Series tables held at once: every new (model, spec) (each benchmark job, CLI
+# call or test) adds one; 16 tables of a few hundred floats are tens of KB.
+_TABLES = 16
 
 
 class VarianceError(RuntimeError):
@@ -151,6 +161,7 @@ class TimeSeries:
     dx: np.ndarray
     dp: np.ndarray
     product: np.ndarray
+    tail: float  # bound on the norm the truncation drops (evolution.tail_bound)
 
 
 def coherent_coefficients(spec):
@@ -165,29 +176,59 @@ def coherent_coefficients(spec):
     return np.exp(0.5 * log_w) * np.exp(1j * cmath.phase(alpha) * n_idx)
 
 
-def _series_terms(model, spec, t):
-    """The four compensated sums of the closed-form expectation series."""
+class _SeriesTable(NamedTuple):
+    """The t-independent part of the series of one (model, spec); arrays read-only."""
+
+    a: float  # Re alpha
+    b: float  # Im alpha
+    r2: float  # |alpha|^2
+    weights: np.ndarray  # |c_n|^2, n = 0..N
+    gap1: np.ndarray  # E_n - E_{n+1}, n = 0..N
+    gap2: np.ndarray  # E_n - E_{n+2}, n = 0..N
+    tail: float  # evolution.tail_bound(model, |alpha|^2, N)
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _table(model, spec):
+    """The _SeriesTable of (model, spec), built once while among the _TABLES
+    most recently used; every caller shares its arrays, so they are read-only."""
     alpha = complex(spec.alpha)
     a, b = alpha.real, alpha.imag
     r2 = a * a + b * b
     n_max = spec.truncation
     energies = model.energies(n_max + 2)
-
     # weights |c_n|^2 = e^{-|alpha|^2} |alpha|^{2n} / n!, a running product
-    w = np.cumprod(np.concatenate(([math.exp(-r2)],
-                                   model.weight_step(r2, np.arange(n_max)))))
+    weights = np.cumprod(np.concatenate(([math.exp(-r2)],
+                                         model.weight_step(r2, np.arange(n_max)))))
+    gap1 = energies[:n_max + 1] - energies[1:n_max + 2]
+    gap2 = energies[:n_max + 1] - energies[2:n_max + 3]
+    for array in (weights, gap1, gap2):
+        array.flags.writeable = False
+    return _SeriesTable(a, b, r2, weights, gap1, gap2,
+                        evolution.tail_bound(model, r2, n_max))
 
-    th1 = (energies[:n_max + 1] - energies[1:n_max + 2]) * t
-    th2 = (energies[:n_max + 1] - energies[2:n_max + 3]) * t
-    sx = compensated_sum(w * (a * np.cos(th1) - b * np.sin(th1)))
-    sp = compensated_sum(w * (a * np.sin(th1) + b * np.cos(th1)))
+
+def _series_terms(model, spec, t):
+    """The three compensated sums of the closed-form expectation series at
+    time t, and |alpha|^2; only the phases (E_n - E_{n+j}) t depend on t."""
+    table = _table(model, spec)
+    a, b, w = table.a, table.b, table.weights
+    th1 = table.gap1 * t
+    th2 = table.gap2 * t
+    cos1, sin1 = np.cos(th1), np.sin(th1)
+    sx = compensated_sum(w * (a * cos1 - b * sin1))
+    sp = compensated_sum(w * (a * sin1 + b * cos1))
     cross = compensated_sum(
         w * ((a * a - b * b) * np.cos(th2) - 2.0 * a * b * np.sin(th2)))
-    return sx, sp, cross, r2
+    return sx, sp, cross, table.r2
 
 
 def expectation_series(model, spec, t):
-    """Closed-form <x>, <p>, <x^2>, <p^2> at time t (series over n <= N)."""
+    """Closed-form <x>, <p>, <x^2>, <p^2> at time t (series over n <= N).
+
+    ValueError for |alpha|^2 >= 2^100, where evolution.tail_bound cannot
+    bound the truncation.
+    """
     k = model.k
     sx, sp, cross, r2 = _series_terms(model, spec, float(t))
     mean_x = math.sqrt(2.0 / k) * sx
@@ -204,7 +245,8 @@ def uncertainties(model, spec, t):
 
 
 def time_series(model, spec, t_grid):
-    """Sampled means and uncertainties over a strictly increasing t grid."""
+    """Sampled means and uncertainties over a strictly increasing t grid, and
+    the truncation's tail bound (reported, not checked)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
@@ -226,4 +268,4 @@ def time_series(model, spec, t_grid):
     dp = np.sqrt(np.maximum(var_p, 0.0))
     return TimeSeries(t=t_grid, mean_x=mean_x, mean_p=mean_p,
                       var_x=var_x, var_p=var_p, dx=dx, dp=dp,
-                      product=dx * dp)
+                      product=dx * dp, tail=_table(model, spec).tail)

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from kgcoherent import poschl_teller
-from kgcoherent.cli import CSV_HEADER, TAIL_BOUND, main, parse_alpha
+from kgcoherent import linear_osc, poschl_teller
+from kgcoherent.cli import CSV_HEADER, FIGURES, TAIL_BOUND, main, parse_alpha
 
 
 def run(capsys, *argv):
@@ -273,6 +273,16 @@ class TestEvolveAndFigures:
         meta = json.loads((tmp_path / "a.meta.json").read_text())
         assert meta["config"]["dt"] == 0.05
         assert meta["config"]["alpha"] == "0.1+0.2i"
+
+    @pytest.mark.parametrize("identifier", sorted(FIGURES))
+    def test_figure_tail_reported(self, identifier):
+        # the fig1-fig11 series (evolve's defaults: k = 1, N = 50) drop at
+        # most 1e-30 of the norm; fig2's alpha = 1+2i reads 2.1e-33
+        spec = linear_osc.CoherentSpec(parse_alpha(FIGURES[identifier]["alpha"]), 50)
+        tail = linear_osc.time_series(linear_osc.LinearModel(), spec, [0.0]).tail
+        assert tail <= 1e-30
+        if identifier == "fig2":
+            assert tail == pytest.approx(2.1e-33, rel=0.01)
 
     def test_fig8_initial_mean_x(self, tmp_path):
         out = tmp_path / "fig8.csv"

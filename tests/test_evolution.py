@@ -32,6 +32,20 @@ def linear_coherent_state(alpha, truncation=50, model=None):
     return make_state(model, coherent_coefficients(CoherentSpec(alpha, truncation)))
 
 
+class TestStateVector:
+    def test_equality_and_hash_are_identity(self):
+        # generated __eq__/__hash__ would compare the coefficient arrays:
+        # == raised "truth value ... ambiguous" and hash raised TypeError
+        m = PTModel(1, 1)
+        state = poschl_teller.coherent_coefficients(m, 1.0, 10)
+        other = poschl_teller.coherent_coefficients(m, 1.0, 10)
+        assert state == state
+        assert state != other
+        assert hash(state) == hash(state)
+        assert len({state, other, state}) == 2
+        assert np.array_equal(state.coefficients, other.coefficients)
+
+
 class TestSynthesize:
     def test_stationary_density(self):
         m = LinearModel(1, 1)

@@ -16,7 +16,29 @@ from kgcoherent.linear_osc import (
     time_series,
     uncertainties,
 )
-from kgcoherent.numerics import Grid, GridFunction, quadrature
+from kgcoherent.numerics import Grid, GridFunction, compensated_sum, quadrature
+
+
+def reference_series(model, spec, t):
+    """expectation_series with every array rebuilt at each t: the formula the
+    cached series table must reproduce bit for bit."""
+    t = float(t)
+    alpha = complex(spec.alpha)
+    a, b = alpha.real, alpha.imag
+    r2 = a * a + b * b
+    n_max = spec.truncation
+    energies = model.energies(n_max + 2)
+    w = np.cumprod(np.concatenate(([math.exp(-r2)],
+                                   model.weight_step(r2, np.arange(n_max)))))
+    th1 = (energies[:n_max + 1] - energies[1:n_max + 2]) * t
+    th2 = (energies[:n_max + 1] - energies[2:n_max + 3]) * t
+    sx = compensated_sum(w * (a * np.cos(th1) - b * np.sin(th1)))
+    sp = compensated_sum(w * (a * np.sin(th1) + b * np.cos(th1)))
+    cross = compensated_sum(
+        w * ((a * a - b * b) * np.cos(th2) - 2.0 * a * b * np.sin(th2)))
+    k = model.k
+    return (math.sqrt(2.0 / k) * sx, math.sqrt(2.0 * k) * sp,
+            (r2 + 0.5) / k + cross / k, k * (r2 + 0.5) - k * cross)
 
 
 def eigenfunction_basis(model, n_max, x):
@@ -128,6 +150,74 @@ class TestExpectationSeries:
             assert minus[1] == pytest.approx(-plus[1], rel=1e-12, abs=1e-14)
             assert minus[2] == pytest.approx(plus[2], rel=1e-13)
             assert minus[3] == pytest.approx(plus[3], rel=1e-13)
+
+
+class TestSeriesTable:
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1 + 0.2j, 1 + 2j, -2 + 0.5j, 3.0])
+    @pytest.mark.parametrize("truncation", [1, 50, 80])
+    def test_matches_per_t_formula(self, k, alpha, truncation):
+        model, spec = LinearModel(1.0, k), CoherentSpec(alpha, truncation)
+        for t in (0.0, 0.05, 12.9, 100.0):
+            got = expectation_series(model, spec, t)
+            want = reference_series(model, spec, t)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_time_series_stacks_expectation_series(self):
+        model, spec = LinearModel(0.7, 1.3), CoherentSpec(-2 + 0.5j, 60)
+        t_grid = np.linspace(0.0, 40.0, 301)
+        ts = time_series(model, spec, t_grid)
+        mean_x, mean_p, mean_x2, mean_p2 = np.array(
+            [expectation_series(model, spec, t) for t in t_grid]).T
+        assert np.array_equal(ts.mean_x, mean_x)
+        assert np.array_equal(ts.mean_p, mean_p)
+        assert np.array_equal(ts.var_x, mean_x2 - mean_x ** 2)
+        assert np.array_equal(ts.var_p, mean_p2 - mean_p ** 2)
+
+    def test_arrays_read_only(self):
+        table = linear_osc._table(LinearModel(1.0, 1.0), CoherentSpec(1 + 2j, 50))
+        for array in (table.weights, table.gap1, table.gap2):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_cache_is_bounded(self):
+        # every benchmark job, CLI call and test builds a new (model, spec)
+        for j in range(3 * linear_osc._TABLES):
+            expectation_series(LinearModel(1.0, 1.0 + j / 64.0),
+                               CoherentSpec(0.5 + j / 64.0, 50), 0.3)
+        info = linear_osc._table.cache_info()
+        assert info.maxsize == linear_osc._TABLES
+        assert info.currsize <= linear_osc._TABLES
+
+    def test_equal_fields_share_a_table(self):
+        table = linear_osc._table
+        assert (table(LinearModel(1.0, 2.0), CoherentSpec(1 + 2j, 50))
+                is table(LinearModel(1, 2), CoherentSpec(complex(1, 2), 50)))
+        base = table(LinearModel(1.0, 2.0), CoherentSpec(1 + 2j, 50))
+        for model, spec in ((LinearModel(1.0, 2.5), CoherentSpec(1 + 2j, 50)),
+                            (LinearModel(1.5, 2.0), CoherentSpec(1 + 2j, 50)),
+                            (LinearModel(1.0, 2.0), CoherentSpec(1 - 2j, 50)),
+                            (LinearModel(1.0, 2.0), CoherentSpec(1 + 2j, 51))):
+            assert table(model, spec) is not base
+
+    def test_tail_reported(self):
+        # N = 50 drops about 1.2e-2 of the norm at alpha = 6, where dx*dp
+        # reads 1.20 at t = 0 instead of 1/2
+        ts = time_series(LinearModel(1, 1), CoherentSpec(6.0, 50), [0.0])
+        assert ts.tail == pytest.approx(1.2e-2, rel=0.01)
+        assert ts.product[0] == pytest.approx(1.20, abs=0.005)
+        assert time_series(LinearModel(1, 1), CoherentSpec(8.0, 50), [0.0]).tail == math.inf
+        assert time_series(LinearModel(1, 1), CoherentSpec(0.0, 5), [0.0]).tail == 0.0
+
+    def test_tail_is_evolution_tail_bound(self):
+        model, spec = LinearModel(1.0, 2.0), CoherentSpec(-2 + 0.5j, 30)
+        assert time_series(model, spec, [0.0, 1.0]).tail == evolution.tail_bound(
+            model, 4.25, 30)
+
+    def test_tail_beyond_limit_raises(self):
+        with pytest.raises(ValueError, match="too large to truncate"):
+            time_series(LinearModel(1, 1), CoherentSpec(2.0 ** 50, 50), [0.0])
 
 
 class TestUncertainties:
