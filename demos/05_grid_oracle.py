@@ -22,7 +22,7 @@ print(f"{'alpha':>10} {'t':>6} {'<x> series':>12} {'<x> grid':>12} "
 worst = 0.0
 for alpha in (0.1 + 0.2j, 1 + 2j, 2 - 1j):
     spec = CoherentSpec(alpha, 50)
-    state = evolution.make_state(model, linear_osc.coherent_coefficients(spec))
+    state = evolution.coherent_coefficients(model, alpha, spec.truncation)
     for t in (0.0, 0.7, 3.1, 12.9):
         f = evolution.synthesize(state, grid, t)
         gx, gx2, _ = evolution.position_moments(f)

@@ -3,8 +3,8 @@
 Modules:
   numerics       special-function and linear-algebra kernels
   linear_osc     linear scalar potential S = k|x| - m (closed-form series)
-  poschl_teller  relativistic Poschl-Teller model and its coherent states
-  evolution      shared state, ladder, evolution and lowering; grid oracle
+  poschl_teller  relativistic Poschl-Teller model and its measure
+  evolution      both models' coherent states, ladder and evolution; grid oracle
   oracle         finite-difference spectral solver for H_s
   verify         named verification suites
   cli            command-line front end

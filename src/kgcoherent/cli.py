@@ -152,16 +152,12 @@ def cmd_spectrum(args):
 def cmd_state(args):
     model = _build_model(args)
     alpha = parse_alpha(args.alpha)
-    linear = isinstance(model, linear_osc.LinearModel)
-    truncation = (50 if linear else 60) if args.trunc is None else args.trunc
+    default = 50 if isinstance(model, linear_osc.LinearModel) else 60
+    truncation = default if args.trunc is None else args.trunc
     if truncation < 1:
         raise UsageError("require trunc >= 1")
     tail = _checked_tail(model, alpha, truncation)
-    if linear:
-        c = linear_osc.coherent_coefficients(
-            linear_osc.CoherentSpec(alpha, truncation))
-    else:
-        c = poschl_teller.coherent_coefficients(model, alpha, truncation).coefficients
+    c = evolution.coherent_coefficients(model, alpha, truncation).coefficients
     cum = np.cumsum(np.abs(c) ** 2)
     rows = [{"n": int(n), "re": c[n].real, "im": c[n].imag,
              "abs2": float(abs(c[n]) ** 2), "cumulative_norm": float(cum[n])}

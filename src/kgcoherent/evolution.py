@@ -5,8 +5,9 @@ the lowering factor lowering(n), eigenfunction rows, half_width and its hard
 wall (inf for the linear model).  From these, a read-only ladder per (model,
 truncation) holds the levels, log q_n at |alpha| = 1, the energies and the
 lowering factors, in an LRU cache of _LADDERS entries.  A StateVector is one
-row, or rows, of coefficients; evolve, apply_annihilation and
-lowering_residual read its ladder, so both models take one code path.
+row, or rows, of coefficients; coherent_coefficients builds either model's
+states, and evolve, apply_annihilation and lowering_residual read its
+ladder, so both models take one code path.
 synthesize samples psi(x, t) on a grid, and position_moments and
 momentum_moments read <x>, <x^2>, <p>, <p^2> off it (Simpson quadrature,
 4th-order finite-difference derivative): the oracle of every closed-form
@@ -26,6 +27,7 @@ __all__ = [
     "StateVector",
     "SupportError",
     "make_state",
+    "coherent_coefficients",
     "evolve",
     "apply_annihilation",
     "default_grid",
@@ -88,7 +90,42 @@ class StateVector:
         object.__setattr__(self, "coefficients", c)
 
 
-make_state = StateVector  # make_state(model, coefficients), the older name
+make_state = StateVector  # the older name, kept for perfbench/workloads.py
+
+
+def coherent_coefficients(model, alpha, truncation=60):
+    """The lowering-operator eigenstate of either model as a StateVector.
+
+    alpha is one label, which gives one row of coefficients c_0..c_N, or a
+    1-D array of labels, which gives one row per label; each row equals the
+    one-label call bit for bit, since one label is row 0 of the same array
+    code.  Built in log space from the model's cached ladder, so only the
+    label-dependent work is done per call.  Rows are unit-norm over 0..N (the
+    untruncated state has at most tail_bound(model, |alpha|^2, N) past N) and
+    satisfy the one-step recursion to near machine precision.
+    """
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
+    labels = np.asarray(alpha, dtype=complex)
+    if labels.ndim > 1:
+        raise ValueError("alpha must be one label or a 1-D array of labels")
+    r = np.abs(labels).reshape(-1, 1)
+    if not np.isfinite(r).all():
+        raise ValueError("alpha must be finite")
+    ladder = _ladder(model, truncation)
+    # log |c_n|^2 + log norm: a running sum of log q_k = 2 log r + log q_k(mu = 1),
+    # also where mu = r^2 underflows
+    log_terms = np.empty((r.shape[0], truncation + 1))
+    log_terms[:, 0] = 0.0
+    rest = log_terms[:, 1:]
+    with np.errstate(divide="ignore"):
+        np.add(2.0 * np.log(r), ladder.log_q1, out=rest)
+    np.cumsum(rest, axis=1, out=rest)
+    peak = log_terms.max(axis=1, keepdims=True)
+    log_s = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
+    phase = np.arctan2(labels.imag, labels.real).reshape(-1, 1)
+    c = np.exp(0.5 * (log_terms - log_s) + 1j * (phase * ladder.n))
+    return StateVector(model, c if labels.ndim else c[0])
 
 
 def _evolved_row(state, t, caller):

@@ -4,18 +4,19 @@ The relativistic spectrum is E_n = sqrt((2n+1) k); the underlying
 Schrodinger problem is a harmonic oscillator with m*omega = k, so the
 eigenfunctions are Hermite functions.  Annihilation-operator coherent
 states built on the positive-energy sector carry the usual Poissonian
-coefficients, running products of LinearModel.weight_step; their expectation
-values evolve with the non-equally-spaced relativistic phases, which is what
-the closed-form series below encode.  The t-independent part of the series
-(alpha, the weights |c_n|^2, the gaps E_n - E_{n+1} and E_n - E_{n+2}, and
-the truncation's evolution.tail_bound) is one read-only table per (model,
-spec), in an LRU cache of _TABLES entries; each t then costs its phases,
-one cos and one sin of each, and three compensated sums.
+coefficients (evolution.coherent_coefficients, on LinearModel.weight_step);
+their expectation values evolve with the non-equally-spaced relativistic
+phases, which is what the closed-form series below encode.  The
+t-independent part of the series (alpha, the untruncated weights |c_n|^2,
+the gaps E_n - E_{n+1} and E_n - E_{n+2}, and the truncation's
+evolution.tail_bound) is one read-only table per (model, spec), in an LRU
+cache of _TABLES entries; each t then costs its phases, one cos and one
+sin of each, and three compensated sums.
 """
 
-import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _VAR_CLAMP = -1e-10
+_MU_MAX = -math.log(sys.float_info.min)  # largest |alpha|^2 of the series
 # Series tables held at once: every new (model, spec) (each benchmark job, CLI
 # call or test) adds one; 16 tables of a few hundred floats are tens of KB.
 _TABLES = 16
@@ -151,7 +153,7 @@ class CoherentSpec:
             raise ValueError("alpha must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equality and hash by identity
 class TimeSeries:
     t: np.ndarray
     mean_x: np.ndarray
@@ -165,15 +167,10 @@ class TimeSeries:
 
 
 def coherent_coefficients(spec):
-    """c_n = e^{-|alpha|^2/2} alpha^n / sqrt(n!), n = 0..N, in log space."""
-    alpha = complex(spec.alpha)
-    n_idx = np.arange(spec.truncation + 1)
-    r = abs(alpha)
-    # log q_k = 2 log r + log q_k(mu = 1), also where mu = r^2 underflows
-    with np.errstate(divide="ignore"):
-        log_q = 2.0 * np.log(r) + np.log(LinearModel.weight_step(1.0, n_idx[:-1]))
-    log_w = np.cumsum(np.concatenate(([-r * r], log_q)))
-    return np.exp(0.5 * log_w) * np.exp(1j * cmath.phase(alpha) * n_idx)
+    """The linear state of evolution.coherent_coefficients as a bare array
+    c_0..c_N: kept because perfbench/workloads.py calls it."""
+    return evolution.coherent_coefficients(
+        LinearModel(), spec.alpha, spec.truncation).coefficients
 
 
 class _SeriesTable(NamedTuple):
@@ -182,7 +179,7 @@ class _SeriesTable(NamedTuple):
     a: float  # Re alpha
     b: float  # Im alpha
     r2: float  # |alpha|^2
-    weights: np.ndarray  # |c_n|^2, n = 0..N
+    weights: np.ndarray  # e^{-|alpha|^2} |alpha|^{2n} / n!, n = 0..N
     gap1: np.ndarray  # E_n - E_{n+1}, n = 0..N
     gap2: np.ndarray  # E_n - E_{n+2}, n = 0..N
     tail: float  # evolution.tail_bound(model, |alpha|^2, N)
@@ -191,21 +188,26 @@ class _SeriesTable(NamedTuple):
 @functools.lru_cache(maxsize=_TABLES)
 def _table(model, spec):
     """The _SeriesTable of (model, spec), built once while among the _TABLES
-    most recently used; every caller shares its arrays, so they are read-only."""
+    most recently used; every caller shares its arrays, so they are read-only.
+    The weights are untruncated, as the closed form's |alpha|^2 + 1/2 assumes;
+    ValueError past |alpha|^2 = _MU_MAX, where e^{-|alpha|^2} is subnormal."""
     alpha = complex(spec.alpha)
     a, b = alpha.real, alpha.imag
     r2 = a * a + b * b
     n_max = spec.truncation
+    tail = evolution.tail_bound(model, r2, n_max)
+    if r2 > _MU_MAX:
+        raise ValueError(f"|alpha|^2 = {r2:g} is above the linear series' limit "
+                         f"{_MU_MAX:.4f}, where e^-|alpha|^2 is subnormal")
     energies = model.energies(n_max + 2)
-    # weights |c_n|^2 = e^{-|alpha|^2} |alpha|^{2n} / n!, a running product
+    # weights e^{-|alpha|^2} |alpha|^{2n} / n!, a running product
     weights = np.cumprod(np.concatenate(([math.exp(-r2)],
                                          model.weight_step(r2, np.arange(n_max)))))
     gap1 = energies[:n_max + 1] - energies[1:n_max + 2]
     gap2 = energies[:n_max + 1] - energies[2:n_max + 3]
     for array in (weights, gap1, gap2):
         array.flags.writeable = False
-    return _SeriesTable(a, b, r2, weights, gap1, gap2,
-                        evolution.tail_bound(model, r2, n_max))
+    return _SeriesTable(a, b, r2, weights, gap1, gap2, tail)
 
 
 def _series_terms(model, spec, t):
@@ -226,8 +228,8 @@ def _series_terms(model, spec, t):
 def expectation_series(model, spec, t):
     """Closed-form <x>, <p>, <x^2>, <p^2> at time t (series over n <= N).
 
-    ValueError for |alpha|^2 >= 2^100, where evolution.tail_bound cannot
-    bound the truncation.
+    ValueError for |alpha|^2 >= 2^100 (evolution.tail_bound cannot bound the
+    truncation) and above _MU_MAX = 708.4 (the weights underflow).
     """
     k = model.k
     sx, sp, cross, r2 = _series_terms(model, spec, float(t))

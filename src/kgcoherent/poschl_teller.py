@@ -7,11 +7,11 @@ Eigenfunctions are evaluated through the Gegenbauer form
 (cos wx)^lambda C_n^lambda(sin wx), which has a stable recursion.  The
 model's law is its weight steps (PTModel.weight_step), whose running
 products are the coherent states, and its lowering factors
-(n + 1 + lambda) D(n, lambda) from the ladder algebra.  Coherent states
-are evolution.StateVectors built on evolution's cached ladder of the
-model, so a call pays only its label-dependent work; evolve and
-apply_annihilation are evolution's, re-exported here.  The
-resolution-of-unity measure weight is a Bessel-K
+(n + 1 + lambda) D(n, lambda) from the ladder algebra.
+coherent_coefficients, evolve and apply_annihilation are evolution's,
+re-exported here: coherent states are evolution.StateVectors built on
+evolution's cached ladder of the model, so a call pays only its
+label-dependent work.  The resolution-of-unity measure weight is a Bessel-K
 construction whose moments are verified numerically: each moment's tail
 cutoff is the first rung of its geometric ladder where the tail bound
 holds, and the ladders of all moments are probed together, one weight call
@@ -21,9 +21,8 @@ u = sqrt(x), on each moment's own grid, doubled until it settles.  The
 Simpson levels are batched too: a level is one weight call over the new
 samples of every moment still open and one quadrature call over their
 rows, in s = u / u_max on one unit grid, and numerics.bessel_k_many splits
-the wide z range of such a call into bands.  Coherent states take one label
-or an array of labels, and the phase-coherence check one time or an array
-of times, each in one array computation.
+the wide z range of such a call into bands.  The phase-coherence check
+takes one time or an array of times, in one array computation.
 """
 
 import math
@@ -31,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import StateVector, _ladder, apply_annihilation, evolve
+from .evolution import (StateVector, _ladder, apply_annihilation,
+                        coherent_coefficients, evolve)
 from .numerics import Grid, GridFunction, bessel_k_many, log_gamma, quadrature
 
 __all__ = [
@@ -166,41 +166,6 @@ def ladder_coeff(n, lam):
         raise ValueError("lambda must exceed 1")
     d = np.sqrt((n + 1.0) * (2.0 * lam + n) / ((n + lam) * (n + 1.0 + lam)))
     return d if d.ndim else float(d)
-
-
-def coherent_coefficients(model, alpha, truncation=60):
-    """The lowering-operator eigenstate as an evolution.StateVector.
-
-    alpha is one label, which gives one row of coefficients c_0..c_N, or a
-    1-D array of labels, which gives one row per label; each row equals the
-    one-label call bit for bit, since one label is row 0 of the same array
-    code.  Built in log space from the model's cached ladder, so only the
-    label-dependent work is done per call; the result is unit-norm within
-    the truncation tail and satisfies the one-step recursion to near
-    machine precision.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    labels = np.asarray(alpha, dtype=complex)
-    if labels.ndim > 1:
-        raise ValueError("alpha must be one label or a 1-D array of labels")
-    r = np.abs(labels).reshape(-1, 1)
-    if not np.isfinite(r).all():
-        raise ValueError("alpha must be finite")
-    ladder = _ladder(model, truncation)
-    # log |c_n|^2 + log norm: a running sum of log q_k = 2 log r + log q_k(mu = 1),
-    # also where mu = r^2 underflows
-    log_terms = np.empty((r.shape[0], truncation + 1))
-    log_terms[:, 0] = 0.0
-    rest = log_terms[:, 1:]
-    with np.errstate(divide="ignore"):
-        np.add(2.0 * np.log(r), ladder.log_q1, out=rest)
-    np.cumsum(rest, axis=1, out=rest)
-    peak = log_terms.max(axis=1, keepdims=True)
-    log_s = peak + np.log(np.exp(log_terms - peak).sum(axis=1, keepdims=True))
-    phase = np.arctan2(labels.imag, labels.real).reshape(-1, 1)
-    c = np.exp(0.5 * (log_terms - log_s) + 1j * (phase * ladder.n))
-    return StateVector(model, c if labels.ndim else c[0])
 
 
 def phase_coherence_check(model, alpha, truncation, t):

@@ -90,8 +90,7 @@ def verify_coherence():
         for alpha in alphas)
     checks.append(_check("pt_phase_coherence_residual", worst_phase, 1e-12))
     lin = linear_osc.LinearModel(1.0, 1.0)
-    spec = linear_osc.CoherentSpec(1 + 2j, LINEAR_TRUNCATION)
-    state = evolution.make_state(lin, linear_osc.coherent_coefficients(spec))
+    state = evolution.coherent_coefficients(lin, 1 + 2j, LINEAR_TRUNCATION)
     checks.append(_check("linear_lowering_residual_t0",
                          evolution.lowering_residual(state, 0.0), 1e-12))
     res_t1 = evolution.lowering_residual(state, 1.0)
@@ -120,7 +119,7 @@ def verify_oracle():
     worst = 0.0
     for alpha in (0.1 + 0.2j, 1 + 2j, 2 - 1j, 0.5):
         spec = linear_osc.CoherentSpec(alpha, LINEAR_TRUNCATION)
-        state = evolution.make_state(lin, linear_osc.coherent_coefficients(spec))
+        state = evolution.coherent_coefficients(lin, alpha, LINEAR_TRUNCATION)
         for t in (0.0, 0.7, 3.1, 12.9):
             f = evolution.synthesize(state, grid, t)
             mean_x, mean_x2, _ = evolution.position_moments(f)

@@ -53,8 +53,7 @@ def test_02_heisenberg_floor():
             worst = min(worst, linear_osc.uncertainties(LINEAR, spec, t)[2])
     grid = evolution.default_grid(LINEAR)
     for alpha in (ALPHA_SMALL, ALPHA_LARGE):
-        state = evolution.make_state(
-            LINEAR, linear_osc.coherent_coefficients(CoherentSpec(alpha, 50)))
+        state = evolution.coherent_coefficients(LINEAR, alpha, 50)
         for t in (0.0, 1.7, 8.4):
             worst = min(worst, evolution.heisenberg_product(state, grid, t)[2])
     report("criterion 2 (Heisenberg floor)", worst >= floor,
@@ -66,7 +65,7 @@ def test_03_oracle_equivalence():
     worst = 0.0
     for alpha in (ALPHA_SMALL, ALPHA_LARGE, 2 - 1j, 0.5):
         spec = CoherentSpec(alpha, 50)
-        state = evolution.make_state(LINEAR, linear_osc.coherent_coefficients(spec))
+        state = evolution.coherent_coefficients(LINEAR, alpha, 50)
         for t in (0.0, 0.7, 3.1, 12.9):
             f = evolution.synthesize(state, grid, t)
             mean_x, mean_x2, _ = evolution.position_moments(f)
@@ -129,8 +128,7 @@ def test_07_pt_phase_coherence():
 
 
 def test_08_linear_decoherence():
-    state = evolution.make_state(
-        LINEAR, linear_osc.coherent_coefficients(CoherentSpec(ALPHA_LARGE, 50)))
+    state = evolution.coherent_coefficients(LINEAR, ALPHA_LARGE, 50)
     at_zero = evolution.lowering_residual(state, 0.0)
     at_one = evolution.lowering_residual(state, 1.0)
     report("criterion 8 (decoherence)", at_zero <= 1e-12 and at_one > 1e-3,
@@ -151,10 +149,9 @@ def test_09_measure_moments():
 def test_10_normalization():
     worst = 0.0
     for alpha in (0.5, 1 + 0.5j, 2.0, 2j, 2 - 1j):
-        c = linear_osc.coherent_coefficients(CoherentSpec(alpha, 50))
-        worst = max(worst, abs(float(np.sum(np.abs(c) ** 2)) - 1.0))
-        state = poschl_teller.coherent_coefficients(PT, alpha, 60)
-        worst = max(worst, abs(float(np.sum(np.abs(state.coefficients) ** 2)) - 1.0))
+        for model, truncation in ((LINEAR, 50), (PT, 60)):
+            c = evolution.coherent_coefficients(model, alpha, truncation).coefficients
+            worst = max(worst, abs(float(np.sum(np.abs(c) ** 2)) - 1.0))
     report("criterion 10 (normalization)", worst <= 1e-10,
            f"worst |norm - 1| = {worst:.2e} <= 1e-10")
 

@@ -253,6 +253,15 @@ class TestEvolveAndFigures:
         code, _, err = run(capsys, "evolve", "--t0", "5", "--t1", "1")
         assert code == 2
 
+    def test_evolve_past_weight_underflow_rejected(self, capsys):
+        # |alpha|^2 = 900: the tail check passes at N = 2000, but the series'
+        # weights underflow; this printed dx*dp = 900.5 and <x> = 0 with exit 0
+        code, out, err = run(capsys, "evolve", "--alpha", "30", "--trunc", "2000",
+                             "--t1", "0.2", "--dt", "0.1")
+        assert code == 2
+        assert out == ""
+        assert "linear series' limit 708.3964" in err
+
     def test_unknown_figure(self, capsys):
         code, _, err = run(capsys, "figures", "fig99")
         assert code == 2

@@ -17,7 +17,7 @@ from kgcoherent.evolution import (
     position_moments,
     synthesize,
 )
-from kgcoherent.linear_osc import CoherentSpec, LinearModel, coherent_coefficients
+from kgcoherent.linear_osc import CoherentSpec, LinearModel
 from kgcoherent.numerics import Grid, GridFunction, quadrature
 from kgcoherent.poschl_teller import PTModel
 
@@ -29,7 +29,7 @@ def eigenfunction_basis(model, n_max, x):
 
 def linear_coherent_state(alpha, truncation=50, model=None):
     model = model or LinearModel(1, 1)
-    return make_state(model, coherent_coefficients(CoherentSpec(alpha, truncation)))
+    return evolution.coherent_coefficients(model, alpha, truncation)
 
 
 class TestStateVector:
@@ -187,7 +187,7 @@ class TestHeisenbergProduct:
     def test_matches_closed_form(self):
         m = LinearModel(1, 1)
         spec = CoherentSpec(0.1 + 0.2j, 50)
-        state = make_state(m, coherent_coefficients(spec))
+        state = evolution.coherent_coefficients(m, spec.alpha, spec.truncation)
         grid = default_grid(m)
         for t in (0.0, 7.3):
             _, _, prod = heisenberg_product(state, grid, t)
@@ -202,7 +202,7 @@ class TestHeisenbergProduct:
 
     def test_grid_refinement_stable(self):
         m = LinearModel(1, 1)
-        state = make_state(m, coherent_coefficients(CoherentSpec(0.1 + 0.2j, 50)))
+        state = linear_coherent_state(0.1 + 0.2j, model=m)
         coarse = heisenberg_product(state, default_grid(m, 4001), 1.3)
         fine = heisenberg_product(state, default_grid(m, 8001), 1.3)
         assert abs(coarse[2] - fine[2]) < 1e-8
@@ -287,11 +287,7 @@ class TestOneRowOnly:
 
 def weights(model, alpha, truncation):
     """|c_n|^2, n = 0..truncation, of the model's coherent-state coefficients."""
-    if isinstance(model, LinearModel):
-        c = coherent_coefficients(CoherentSpec(alpha, truncation))
-    else:
-        c = poschl_teller.coherent_coefficients(model, alpha, truncation).coefficients
-    return np.abs(c) ** 2
+    return np.abs(evolution.coherent_coefficients(model, alpha, truncation).coefficients) ** 2
 
 
 MODELS = [LinearModel(1, 1), PTModel(1, 1), PTModel(0.5, 2.0)]

@@ -1,6 +1,7 @@
 """Linear scalar potential: spectrum, eigenfunctions, coherent-state series."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestCoefficients:
     def test_norm_saturates(self):
         c = coherent_coefficients(CoherentSpec(0.1 + 0.2j, 50))
         assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-14)
+        # unit norm over 0..N also where N = 50 drops 1.2e-2 of the Poisson weight
+        c = coherent_coefficients(CoherentSpec(6.0, 50))
+        assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-14)
+
+    def test_is_the_shared_constructor(self):
+        spec = CoherentSpec(1 - 0.5j, 40)
+        want = evolution.coherent_coefficients(LinearModel(2.0, 0.5), spec.alpha, 40)
+        assert np.array_equal(coherent_coefficients(spec), want.coefficients)
 
     def test_ratio(self):
         c = coherent_coefficients(CoherentSpec(1.0, 2))
@@ -219,6 +228,17 @@ class TestSeriesTable:
         with pytest.raises(ValueError, match="too large to truncate"):
             time_series(LinearModel(1, 1), CoherentSpec(2.0 ** 50, 50), [0.0])
 
+    def test_weight_underflow_limit(self):
+        # the first weight e^{-|alpha|^2} is normal up to |alpha|^2 = 708.3964;
+        # past it the weights lost digits silently (dx*dp = 0.49973 at 730);
+        # var_x = <x^2> - <x>^2 cancels about 2 |alpha|^2 = 1417 to 1/2
+        limit = -math.log(sys.float_info.min)
+        ts = time_series(LinearModel(1, 1), CoherentSpec(math.sqrt(limit), 1500), [0.0])
+        assert ts.product[0] == pytest.approx(0.5, abs=1e-10)
+        for mu in (708.4, 730.0, 900.0):
+            with pytest.raises(ValueError, match="linear series' limit 708.3964"):
+                time_series(LinearModel(1, 1), CoherentSpec(math.sqrt(mu), 2000), [0.0])
+
 
 class TestUncertainties:
     def test_vacuum(self):
@@ -291,6 +311,18 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             time_series(m, CoherentSpec(0.0, 5), [1.0, 0.5])
 
+    def test_equality_and_hash_are_identity(self):
+        # generated __eq__/__hash__ would compare the arrays: == raised
+        # "truth value ... ambiguous" and hash raised TypeError
+        spec = CoherentSpec(1 + 2j, 50)
+        ts = time_series(LinearModel(1, 1), spec, [0.0, 1.0])
+        other = time_series(LinearModel(1, 1), spec, [0.0, 1.0])
+        assert ts == ts
+        assert ts != other
+        assert hash(ts) == hash(ts)
+        assert len({ts, other, ts}) == 2
+        assert np.array_equal(ts.product, other.product)
+
     def test_long_time_envelope_bounded(self):
         # large alpha: the [50, 100] band stays inside the [0, 50] envelope +-10%
         m = LinearModel(1, 1)
@@ -304,7 +336,6 @@ class TestTimeSeries:
 class TestDecoherence:
     def test_evolved_state_leaves_lowering_eigenspace(self):
         m = LinearModel(1, 1)
-        state = evolution.make_state(
-            m, coherent_coefficients(CoherentSpec(1 + 2j, 50)))
+        state = evolution.coherent_coefficients(m, 1 + 2j, 50)
         assert evolution.lowering_residual(state, 0.0) <= 1e-12
         assert evolution.lowering_residual(state, 1.0) > 1e-3

@@ -247,8 +247,11 @@ class TestCoherentState:
         with pytest.raises(ValueError, match="alpha must be finite"):
             coherent_coefficients(PTModel(1, 1), np.array([0.5, alpha, 0.0]), 10)
 
-    def test_label_array_rows_equal_scalar_calls(self):
-        m = PTModel(1.3, 0.7)
+    @pytest.mark.parametrize("m", [LinearModel(0.7, 1.3), PTModel(1.3, 0.7)],
+                             ids=["linear", "pt"])
+    def test_label_array_rows_equal_scalar_calls(self, m):
+        # one constructor serves both models: PT's name is evolution's
+        assert coherent_coefficients is evolution.coherent_coefficients
         alphas = np.array([0.5, 0.0, 1 + 2j, -2.5j, 1e-300, 3 - 1j, 0.0])
         state = coherent_coefficients(m, alphas, 60)
         assert state.coefficients.shape == (alphas.size, 61)
@@ -258,6 +261,15 @@ class TestCoherentState:
             assert one.coefficients.ndim == 1
             assert one.coefficients.tolist() == row.tolist()
         assert state.coefficients[1].tolist() == [1.0] + [0.0] * 60
+        if isinstance(m, LinearModel):
+            # Poisson amplitudes |alpha|^n / sqrt(n!) in stdlib floats,
+            # renormalized over levels 0..60
+            for alpha, row in zip(alphas.tolist(), state.coefficients):
+                amp = [abs(alpha) ** n / math.sqrt(math.factorial(n)) for n in range(61)]
+                norm = math.sqrt(math.fsum(a * a for a in amp))
+                want = np.array([cmath.rect(a / norm, n * cmath.phase(alpha))
+                                 for n, a in enumerate(amp)])
+                assert np.all(np.abs(row - want) <= 1e-13 * np.abs(want))
 
     def test_label_matrix_rejected(self):
         with pytest.raises(ValueError, match="1-D array of labels"):
