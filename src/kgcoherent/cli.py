@@ -31,6 +31,9 @@ from . import evolution, linear_osc, poschl_teller, verify
 from . import oracle as oracle_mod
 
 CSV_HEADER = "t,dx,dp,product,ex,ep"
+# Rows of the evolve CSV formatted and written at once, so the text held at a
+# time does not grow with the sample count.
+CSV_BLOCK = 256
 # Most norm a truncated coherent state may drop (state, evolve, figures): the
 # eigenstate residual bound of `verify coherence`, and far below the nine
 # digits the series CSV prints.
@@ -82,11 +85,14 @@ def _out_path(path):
 
 
 def _write_text(path, text):
+    """Write text, a string or an iterable of strings written in turn, to
+    path, or to stdout for None."""
+    chunks = (text,) if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _json_dumps(payload):
@@ -123,14 +129,19 @@ def _checked_tail(model, alpha, truncation):
         f"{evolution.smallest_truncation(model, mu, TAIL_BOUND)}")
 
 
-def _series_csv(model, alpha, truncation, t0, t1, dt):
-    spec = linear_osc.CoherentSpec(alpha, truncation)
-    t_grid = np.arange(t0, t1 + 0.5 * dt, dt)
-    ts = linear_osc.time_series(model, spec, t_grid)
+def _series_csv(model, spec, t0, t1, dt):
+    """The evolve CSV as text blocks of CSV_BLOCK rows each.  The series is
+    computed on the call, so its errors come before any block is written."""
+    ts = linear_osc.time_series(model, spec, np.arange(t0, t1 + 0.5 * dt, dt))
     columns = (ts.t, ts.dx, ts.dp, ts.product, ts.mean_x, ts.mean_p)
-    rows = ["%.9g,%.9g,%.9g,%.9g,%.9g,%.9g" % row
-            for row in zip(*(c.tolist() for c in columns))]
-    return "\n".join([CSV_HEADER] + rows) + "\n"
+
+    def blocks():
+        yield CSV_HEADER + "\n"
+        for i in range(0, ts.t.size, CSV_BLOCK):
+            rows = zip(*(c[i:i + CSV_BLOCK].tolist() for c in columns))
+            yield "".join(["%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n" % row for row in rows])
+
+    return blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +190,12 @@ def cmd_evolve(args):
     alpha = parse_alpha(args.alpha)
     if not (args.t0 < args.t1 and args.dt > 0.0 and args.trunc >= 1):
         raise UsageError("require t0 < t1, dt > 0, trunc >= 1")
+    spec = linear_osc.CoherentSpec(alpha, args.trunc)
+    # past the series' limit no --trunc passes, so that is checked first
+    linear_osc.check_series_limit(spec)
     _checked_tail(model, alpha, args.trunc)
     _write_text(_out_path(args.output),
-                _series_csv(model, alpha, args.trunc, args.t0, args.t1, args.dt))
+                _series_csv(model, spec, args.t0, args.t1, args.dt))
     return 0
 
 

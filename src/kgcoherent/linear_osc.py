@@ -10,8 +10,10 @@ phases, which is what the closed-form series below encode.  The
 t-independent part of the series (alpha, the untruncated weights |c_n|^2,
 the gaps E_n - E_{n+1} and E_n - E_{n+2}, and the truncation's
 evolution.tail_bound) is one read-only table per (model, spec), in an LRU
-cache of _TABLES entries; each t then costs its phases, one cos and one
-sin of each, and three compensated sums.
+cache of _TABLES entries.  An array of t is taken _BLOCK_CELLS (t, n) cells
+at a time: a block costs its phase matrices t (E_n - E_{n+j}), one cos and
+one sin of each, and three compensated sums, exactly rounded per t, so a t
+gives the same bits alone or in any block.
 """
 
 import functools
@@ -32,6 +34,7 @@ __all__ = [
     "VarianceError",
     "coherent_coefficients",
     "expectation_series",
+    "check_series_limit",
     "uncertainties",
     "time_series",
 ]
@@ -41,6 +44,10 @@ _MU_MAX = -math.log(sys.float_info.min)  # largest |alpha|^2 of the series
 # Series tables held at once: every new (model, spec) (each benchmark job, CLI
 # call or test) adds one; 16 tables of a few hundred floats are tens of KB.
 _TABLES = 16
+# (t, n) cells of one block of the series over an array of t: 80 times at
+# N = 50, so each of a block's dozen temporaries is 32 KB.  numerics'
+# 2^15-cell blocks ran slower here, their temporaries no longer in cache.
+_BLOCK_CELLS = 1 << 12
 
 
 class VarianceError(RuntimeError):
@@ -185,20 +192,28 @@ class _SeriesTable(NamedTuple):
     tail: float  # evolution.tail_bound(model, |alpha|^2, N)
 
 
+def check_series_limit(spec):
+    """ValueError if |alpha|^2 is above _MU_MAX = 708.4, the linear series'
+    limit, where e^{-|alpha|^2} is subnormal: no truncation passes there."""
+    alpha = complex(spec.alpha)
+    r2 = alpha.real * alpha.real + alpha.imag * alpha.imag
+    if r2 > _MU_MAX:
+        raise ValueError(f"|alpha|^2 = {r2:g} is above the linear series' limit "
+                         f"{_MU_MAX:.4f}, where e^-|alpha|^2 is subnormal")
+
+
 @functools.lru_cache(maxsize=_TABLES)
 def _table(model, spec):
     """The _SeriesTable of (model, spec), built once while among the _TABLES
     most recently used; every caller shares its arrays, so they are read-only.
     The weights are untruncated, as the closed form's |alpha|^2 + 1/2 assumes;
-    ValueError past |alpha|^2 = _MU_MAX, where e^{-|alpha|^2} is subnormal."""
+    ValueError past |alpha|^2 = _MU_MAX (check_series_limit)."""
     alpha = complex(spec.alpha)
     a, b = alpha.real, alpha.imag
     r2 = a * a + b * b
     n_max = spec.truncation
     tail = evolution.tail_bound(model, r2, n_max)
-    if r2 > _MU_MAX:
-        raise ValueError(f"|alpha|^2 = {r2:g} is above the linear series' limit "
-                         f"{_MU_MAX:.4f}, where e^-|alpha|^2 is subnormal")
+    check_series_limit(spec)
     energies = model.energies(n_max + 2)
     # weights e^{-|alpha|^2} |alpha|^{2n} / n!, a running product
     weights = np.cumprod(np.concatenate(([math.exp(-r2)],
@@ -210,10 +225,10 @@ def _table(model, spec):
     return _SeriesTable(a, b, r2, weights, gap1, gap2, tail)
 
 
-def _series_terms(model, spec, t):
-    """The three compensated sums of the closed-form expectation series at
-    time t, and |alpha|^2; only the phases (E_n - E_{n+j}) t depend on t."""
-    table = _table(model, spec)
+def _series_terms(table, t):
+    """The three compensated sums of the closed-form series at t, a float or a
+    column of times (shape (B, 1)), which give floats or arrays of B; only
+    the phases (E_n - E_{n+j}) t depend on t."""
     a, b, w = table.a, table.b, table.weights
     th1 = table.gap1 * t
     th2 = table.gap2 * t
@@ -222,17 +237,31 @@ def _series_terms(model, spec, t):
     sp = compensated_sum(w * (a * sin1 + b * cos1))
     cross = compensated_sum(
         w * ((a * a - b * b) * np.cos(th2) - 2.0 * a * b * np.sin(th2)))
-    return sx, sp, cross, table.r2
+    return sx, sp, cross
 
 
 def expectation_series(model, spec, t):
     """Closed-form <x>, <p>, <x^2>, <p^2> at time t (series over n <= N).
 
-    ValueError for |alpha|^2 >= 2^100 (evolution.tail_bound cannot bound the
-    truncation) and above _MU_MAX = 708.4 (the weights underflow).
+    t is one time, which gives four floats, or a 1-D array, which gives four
+    arrays, summed _BLOCK_CELLS (t, n) cells at a time; each value has the
+    same bits either way.  ValueError for |alpha|^2 >= 2^100
+    (evolution.tail_bound cannot bound the truncation) and above
+    _MU_MAX = 708.4 (the weights underflow).
     """
-    k = model.k
-    sx, sp, cross, r2 = _series_terms(model, spec, float(t))
+    table = _table(model, spec)
+    if getattr(t, "ndim", 0) == 0:  # a float, a numpy scalar or a 0-d array
+        sx, sp, cross = _series_terms(table, float(t))
+    elif t.ndim == 1:
+        t = np.asarray(t, dtype=float)
+        sums = np.empty((3, t.size))
+        rows = max(1, _BLOCK_CELLS // table.weights.size)
+        for i in range(0, t.size, rows):
+            sums[:, i:i + rows] = _series_terms(table, t[i:i + rows, None])
+        sx, sp, cross = sums
+    else:
+        raise ValueError("t must be one time or a 1-D array")
+    k, r2 = model.k, table.r2
     mean_x = math.sqrt(2.0 / k) * sx
     mean_p = math.sqrt(2.0 * k) * sp
     mean_x2 = (r2 + 0.5) / k + cross / k
@@ -247,17 +276,15 @@ def uncertainties(model, spec, t):
 
 
 def time_series(model, spec, t_grid):
-    """Sampled means and uncertainties over a strictly increasing t grid, and
-    the truncation's tail bound (reported, not checked)."""
+    """Sampled means and uncertainties over a strictly increasing t grid, from
+    one expectation_series call over the whole grid, and the truncation's
+    tail bound (reported, not checked)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    rows = np.empty((t_grid.size, 4))
-    for i, t in enumerate(t_grid):
-        rows[i] = expectation_series(model, spec, t)
-    mean_x, mean_p, mean_x2, mean_p2 = rows.T
+    mean_x, mean_p, mean_x2, mean_p2 = expectation_series(model, spec, t_grid)
     var_x = mean_x2 - mean_x ** 2
     var_p = mean_p2 - mean_p ** 2
     bad = (var_x < _VAR_CLAMP) | (var_p < _VAR_CLAMP)

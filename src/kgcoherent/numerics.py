@@ -339,11 +339,21 @@ def bessel_k_many(nu, z):
 
 
 def compensated_sum(terms):
-    """Exactly rounded sum of a sequence of finite reals (math.fsum)."""
-    total = math.fsum(np.asarray(terms, dtype=float).tolist())
-    if not math.isfinite(total):
+    """Exactly rounded sum of a sequence of finite reals (math.fsum).
+
+    A 2-D array gives one exactly rounded sum per row, as a float array, from
+    one .tolist() of the whole array; every row must be finite.
+    """
+    terms = np.asarray(terms, dtype=float)
+    if terms.ndim == 2:
+        totals = np.array(list(map(math.fsum, terms.tolist())))
+        finite = np.isfinite(totals).all()
+    else:
+        totals = math.fsum(terms.tolist())
+        finite = math.isfinite(totals)
+    if not finite:
         raise ValueError("compensated_sum requires finite terms")
-    return total
+    return totals
 
 
 # ---------------------------------------------------------------------------

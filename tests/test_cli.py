@@ -3,11 +3,13 @@
 import json
 import math
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from kgcoherent import linear_osc, poschl_teller
-from kgcoherent.cli import CSV_HEADER, FIGURES, TAIL_BOUND, main, parse_alpha
+from kgcoherent.cli import CSV_BLOCK, CSV_HEADER, FIGURES, TAIL_BOUND, main, parse_alpha
 
 
 def run(capsys, *argv):
@@ -202,7 +204,13 @@ class TestTruncationTail:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert f"the smallest --trunc that passes is {smallest}" in err
+        if argv[0] == "evolve":
+            # |alpha|^2 = 1e8 is past the linear series' limit, where no
+            # --trunc passes: the limit is named, not the tail's smallest --trunc
+            assert "linear series' limit" in err
+            assert str(smallest) not in err
+        else:
+            assert f"the smallest --trunc that passes is {smallest}" in err
 
     def test_named_trunc_at_float64_limit(self, capsys):
         # at |alpha|^2 = mu = 1e30 the weights about n = mu + k sqrt(mu) are
@@ -261,6 +269,50 @@ class TestEvolveAndFigures:
         assert code == 2
         assert out == ""
         assert "linear series' limit 708.3964" in err
+
+    def test_evolve_past_series_limit_names_it(self, capsys):
+        # the default --trunc 50 fails the tail check too, but no --trunc
+        # passes past the limit, so the message names the limit, not a --trunc
+        code, out, err = run(capsys, "evolve", "--alpha", "30")
+        assert code == 2
+        assert out == ""
+        assert "linear series' limit" in err
+        assert "smallest --trunc" not in err
+
+    def test_evolve_stdout_equals_file_over_blocks(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "evolve", "--t1", "20")
+        assert code == 0
+        assert out.count("\n") == 402  # the header and 401 rows
+        assert 401 > CSV_BLOCK  # so both paths write more than one block
+        assert main(["evolve", "--t1", "20", "-o", str(tmp_path / "b.csv")]) == 0
+        assert out.encode() == (tmp_path / "b.csv").read_bytes()
+
+    def test_evolve_peak_memory_per_sample(self, tmp_path):
+        # the CSV is formatted and written a block of rows at a time, so the
+        # peak is the series' arrays, not the text; it read 392 bytes a
+        # sample with the whole text held at once
+        argv = ["evolve", "--alpha=1+2i", "--t1", "1000", "-o", str(tmp_path / "a.csv")]
+        assert main(argv) == 0  # warm-up: imports, caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        samples = 20001
+        assert len((tmp_path / "a.csv").read_text().splitlines()) == samples + 1
+        assert peak < 200 * samples
+
+    def test_variance_error_leaves_no_file(self, tmp_path, monkeypatch):
+        def series(model, spec, t):
+            ones = np.ones_like(t)
+            return ones, ones, 0.0 * ones, ones  # var_x = 0 - 1 at every t
+
+        monkeypatch.setattr(linear_osc, "expectation_series", series)
+        out = tmp_path / "a.csv"
+        with pytest.raises(linear_osc.VarianceError):
+            main(["evolve", "-o", str(out)])
+        assert not out.exists()
 
     def test_unknown_figure(self, capsys):
         code, _, err = run(capsys, "figures", "fig99")

@@ -19,6 +19,9 @@ from kgcoherent.linear_osc import (
 )
 from kgcoherent.numerics import Grid, GridFunction, compensated_sum, quadrature
 
+# times in one block of the series at N = 50
+BLOCK = linear_osc._BLOCK_CELLS // 51
+
 
 def reference_series(model, spec, t):
     """expectation_series with every array rebuilt at each t: the formula the
@@ -183,6 +186,31 @@ class TestSeriesTable:
         assert np.array_equal(ts.var_x, mean_x2 - mean_x ** 2)
         assert np.array_equal(ts.var_p, mean_p2 - mean_p ** 2)
 
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2001])
+    def test_array_rows_equal_scalar_calls(self, size):
+        # a lone partial block, one full block, a full block then one row,
+        # and many blocks
+        model, spec = LinearModel(1.0, 1.0), CoherentSpec(1 + 2j, 50)
+        t_grid = 0.05 * np.arange(size)
+        got = expectation_series(model, spec, t_grid)
+        want = np.array([expectation_series(model, spec, t) for t in t_grid]).T
+        for array, column in zip(got, want):
+            assert isinstance(array, np.ndarray) and array.shape == (size,)
+            assert array.tobytes() == column.tobytes()
+
+    def test_zero_d_t_gives_floats(self):
+        model, spec = LinearModel(1.0, 2.0), CoherentSpec(-2 + 0.5j, 30)
+        want = expectation_series(model, spec, 1.25)
+        assert all(type(v) is float for v in want)
+        for t in (np.float64(1.25), np.array(1.25)):
+            got = expectation_series(model, spec, t)
+            assert all(type(v) is float for v in got)
+            assert got == want
+
+    def test_two_d_t_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            expectation_series(LinearModel(), CoherentSpec(0.5, 10), np.zeros((2, 3)))
+
     def test_arrays_read_only(self):
         table = linear_osc._table(LinearModel(1.0, 1.0), CoherentSpec(1 + 2j, 50))
         for array in (table.weights, table.gap1, table.gap2):
@@ -271,9 +299,10 @@ class TestUncertainties:
             assert uncertainties(m, spec, t) == (ts.dx[i], ts.dp[i], ts.product[i])
 
     def test_negative_variance_names_first_bad_t(self, monkeypatch):
-        # <x^2> below <x>^2 at t >= 2 only
+        # <x^2> below <x>^2 at t >= 2 only; time_series passes the whole grid
         def series(model, spec, t):
-            return (1.0, 0.0, 0.5 if t >= 2.0 else 2.0, 1.0)
+            ones = np.ones_like(t)
+            return ones, 0.0 * ones, np.where(t >= 2.0, 0.5, 2.0), ones
 
         monkeypatch.setattr(linear_osc, "expectation_series", series)
         m, spec = LinearModel(1, 1), CoherentSpec(0.5, 10)

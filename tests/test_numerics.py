@@ -201,6 +201,23 @@ class TestCompensatedSum:
         with pytest.raises(ValueError, match="finite"):
             compensated_sum(np.array([1.0, float("nan"), 2.0]))
 
+    def test_rows_match_fsum(self):
+        # one exactly rounded sum per row, each with heavy cancellation
+        rng = np.random.default_rng(3)
+        terms = rng.standard_normal((7, 51)) * 10.0 ** rng.integers(-8, 9, (7, 51))
+        terms[:, -1] = -terms[:, :-1].sum(axis=1)
+        got = compensated_sum(terms)
+        assert isinstance(got, np.ndarray) and got.shape == (7,)
+        assert got.tolist() == [math.fsum(row) for row in terms.tolist()]
+
+    @pytest.mark.parametrize("row", [0, 3, 6])
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_rows_nonfinite_rejected(self, row, bad):
+        terms = np.ones((7, 5))
+        terms[row, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            compensated_sum(terms)
+
     @given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
                               allow_nan=False), max_size=200))
     def test_matches_fsum(self, xs):
