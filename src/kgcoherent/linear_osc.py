@@ -6,21 +6,17 @@ eigenfunctions are Hermite functions.  Annihilation-operator coherent
 states built on the positive-energy sector carry the usual Poissonian
 coefficients (evolution.coherent_coefficients, on LinearModel.weight_step);
 their expectation values evolve with the non-equally-spaced relativistic
-phases, which is what the closed-form series below encode.  The
-t-independent part of the series (alpha, the untruncated weights |c_n|^2,
-the gaps E_n - E_{n+1} and E_n - E_{n+2}, and the truncation's
-evolution.tail_bound) is one read-only table per (model, spec), in an LRU
-cache of _TABLES entries.  An array of t is taken _BLOCK_CELLS (t, n) cells
-at a time: a block costs its phase matrices t (E_n - E_{n+j}), one cos and
-one sin of each, and three compensated sums, exactly rounded per t, so a t
-gives the same bits alone or in any block.
+phases, which is what the closed-form series below encode.  A series call
+builds its t-independent arrays (the untruncated weights |c_n|^2 and the
+gaps E_n - E_{n+1} and E_n - E_{n+2}) and takes its times _BLOCK_CELLS
+(t, n) cells at a time: a block costs its phase matrices t (E_n - E_{n+j}),
+one cos and one sin of each, and three compensated sums, exactly rounded
+per t, so a t gives the same bits alone or in any block.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,16 +31,12 @@ __all__ = [
     "coherent_coefficients",
     "expectation_series",
     "check_series_limit",
-    "uncertainties",
     "time_series",
 ]
 
 _VAR_CLAMP = -1e-10
 _MU_MAX = -math.log(sys.float_info.min)  # largest |alpha|^2 of the series
-# Series tables held at once: every new (model, spec) (each benchmark job, CLI
-# call or test) adds one; 16 tables of a few hundred floats are tens of KB.
-_TABLES = 16
-# (t, n) cells of one block of the series over an array of t: 80 times at
+# (t, n) cells of one block of the series over a column of t: 80 times at
 # N = 50, so each of a block's dozen temporaries is 32 KB.  numerics'
 # 2^15-cell blocks ran slower here, their temporaries no longer in cache.
 _BLOCK_CELLS = 1 << 12
@@ -56,7 +48,12 @@ class VarianceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Mass m and coupling k (natural units); omega = k/m."""
+    """Mass m and coupling k (natural units); omega = k/m.
+
+    m has no effect: the energies, the eigenfunctions and the series read
+    only k, and the FD oracle's m cancels, so `evolve --m` changes only the
+    .meta.json.
+    """
 
     m: float = 1.0
     k: float = 1.0
@@ -180,18 +177,6 @@ def coherent_coefficients(spec):
         LinearModel(), spec.alpha, spec.truncation).coefficients
 
 
-class _SeriesTable(NamedTuple):
-    """The t-independent part of the series of one (model, spec); arrays read-only."""
-
-    a: float  # Re alpha
-    b: float  # Im alpha
-    r2: float  # |alpha|^2
-    weights: np.ndarray  # e^{-|alpha|^2} |alpha|^{2n} / n!, n = 0..N
-    gap1: np.ndarray  # E_n - E_{n+1}, n = 0..N
-    gap2: np.ndarray  # E_n - E_{n+2}, n = 0..N
-    tail: float  # evolution.tail_bound(model, |alpha|^2, N)
-
-
 def check_series_limit(spec):
     """ValueError if |alpha|^2 is above _MU_MAX = 708.4, the linear series'
     limit, where e^{-|alpha|^2} is subnormal: no truncation passes there."""
@@ -202,66 +187,43 @@ def check_series_limit(spec):
                          f"{_MU_MAX:.4f}, where e^-|alpha|^2 is subnormal")
 
 
-@functools.lru_cache(maxsize=_TABLES)
-def _table(model, spec):
-    """The _SeriesTable of (model, spec), built once while among the _TABLES
-    most recently used; every caller shares its arrays, so they are read-only.
-    The weights are untruncated, as the closed form's |alpha|^2 + 1/2 assumes;
-    ValueError past |alpha|^2 = _MU_MAX (check_series_limit)."""
-    alpha = complex(spec.alpha)
-    a, b = alpha.real, alpha.imag
-    r2 = a * a + b * b
-    n_max = spec.truncation
-    tail = evolution.tail_bound(model, r2, n_max)
-    check_series_limit(spec)
-    energies = model.energies(n_max + 2)
-    # weights e^{-|alpha|^2} |alpha|^{2n} / n!, a running product
-    weights = np.cumprod(np.concatenate(([math.exp(-r2)],
-                                         model.weight_step(r2, np.arange(n_max)))))
-    gap1 = energies[:n_max + 1] - energies[1:n_max + 2]
-    gap2 = energies[:n_max + 1] - energies[2:n_max + 3]
-    for array in (weights, gap1, gap2):
-        array.flags.writeable = False
-    return _SeriesTable(a, b, r2, weights, gap1, gap2, tail)
-
-
-def _series_terms(table, t):
-    """The three compensated sums of the closed-form series at t, a float or a
-    column of times (shape (B, 1)), which give floats or arrays of B; only
-    the phases (E_n - E_{n+j}) t depend on t."""
-    a, b, w = table.a, table.b, table.weights
-    th1 = table.gap1 * t
-    th2 = table.gap2 * t
-    cos1, sin1 = np.cos(th1), np.sin(th1)
-    sx = compensated_sum(w * (a * cos1 - b * sin1))
-    sp = compensated_sum(w * (a * sin1 + b * cos1))
-    cross = compensated_sum(
-        w * ((a * a - b * b) * np.cos(th2) - 2.0 * a * b * np.sin(th2)))
-    return sx, sp, cross
-
-
 def expectation_series(model, spec, t):
     """Closed-form <x>, <p>, <x^2>, <p^2> at time t (series over n <= N).
 
     t is one time, which gives four floats, or a 1-D array, which gives four
-    arrays, summed _BLOCK_CELLS (t, n) cells at a time; each value has the
-    same bits either way.  ValueError for |alpha|^2 >= 2^100
-    (evolution.tail_bound cannot bound the truncation) and above
-    _MU_MAX = 708.4 (the weights underflow).
+    arrays.  Either way t is read as a column and summed _BLOCK_CELLS (t, n)
+    cells at a time, so each value has the same bits alone or in any block.
+    The weights are untruncated, as the closed form's |alpha|^2 + 1/2
+    assumes; ValueError past |alpha|^2 = _MU_MAX (check_series_limit).
     """
-    table = _table(model, spec)
-    if getattr(t, "ndim", 0) == 0:  # a float, a numpy scalar or a 0-d array
-        sx, sp, cross = _series_terms(table, float(t))
-    elif t.ndim == 1:
-        t = np.asarray(t, dtype=float)
-        sums = np.empty((3, t.size))
-        rows = max(1, _BLOCK_CELLS // table.weights.size)
-        for i in range(0, t.size, rows):
-            sums[:, i:i + rows] = _series_terms(table, t[i:i + rows, None])
-        sx, sp, cross = sums
-    else:
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
         raise ValueError("t must be one time or a 1-D array")
-    k, r2 = model.k, table.r2
+    check_series_limit(spec)
+    alpha = complex(spec.alpha)
+    a, b = alpha.real, alpha.imag
+    r2 = a * a + b * b
+    n_max = spec.truncation
+    energies = model.energies(n_max + 2)
+    # weights e^{-|alpha|^2} |alpha|^{2n} / n!, a running product
+    w = np.cumprod(np.concatenate(([math.exp(-r2)],
+                                   model.weight_step(r2, np.arange(n_max)))))
+    gap1 = energies[:n_max + 1] - energies[1:n_max + 2]
+    gap2 = energies[:n_max + 1] - energies[2:n_max + 3]
+    column = t.reshape(-1, 1)
+    sums = np.empty((3, column.shape[0]))
+    rows = max(1, _BLOCK_CELLS // w.size)
+    for i in range(0, column.shape[0], rows):
+        # only the phases (E_n - E_{n+j}) t depend on t
+        th1 = gap1 * column[i:i + rows]
+        th2 = gap2 * column[i:i + rows]
+        cos1, sin1 = np.cos(th1), np.sin(th1)
+        sums[0, i:i + rows] = compensated_sum(w * (a * cos1 - b * sin1))
+        sums[1, i:i + rows] = compensated_sum(w * (a * sin1 + b * cos1))
+        sums[2, i:i + rows] = compensated_sum(
+            w * ((a * a - b * b) * np.cos(th2) - 2.0 * a * b * np.sin(th2)))
+    sx, sp, cross = sums if t.ndim else sums[:, 0].tolist()
+    k = model.k
     mean_x = math.sqrt(2.0 / k) * sx
     mean_p = math.sqrt(2.0 * k) * sp
     mean_x2 = (r2 + 0.5) / k + cross / k
@@ -269,21 +231,19 @@ def expectation_series(model, spec, t):
     return mean_x, mean_p, mean_x2, mean_p2
 
 
-def uncertainties(model, spec, t):
-    """(dx, dp, dx*dp) from the closed-form series at time t."""
-    ts = time_series(model, spec, [t])
-    return float(ts.dx[0]), float(ts.dp[0]), float(ts.product[0])
-
-
 def time_series(model, spec, t_grid):
-    """Sampled means and uncertainties over a strictly increasing t grid, from
-    one expectation_series call over the whole grid, and the truncation's
-    tail bound (reported, not checked)."""
+    """Sampled means and uncertainties over a strictly increasing 1-D t grid,
+    from one expectation_series call over the whole grid, and the
+    truncation's evolution.tail_bound (reported, not checked), which raises
+    first for |alpha|^2 >= 2^100, "too large to truncate"."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise ValueError("t_grid must be nonempty")
+    if t_grid.ndim != 1 or t_grid.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-D array")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0.0):
         raise ValueError("t_grid must be strictly increasing")
+    alpha = complex(spec.alpha)
+    mu = alpha.real * alpha.real + alpha.imag * alpha.imag
+    tail = evolution.tail_bound(model, mu, spec.truncation)
     mean_x, mean_p, mean_x2, mean_p2 = expectation_series(model, spec, t_grid)
     var_x = mean_x2 - mean_x ** 2
     var_p = mean_p2 - mean_p ** 2
@@ -297,4 +257,4 @@ def time_series(model, spec, t_grid):
     dp = np.sqrt(np.maximum(var_p, 0.0))
     return TimeSeries(t=t_grid, mean_x=mean_x, mean_p=mean_p,
                       var_x=var_x, var_p=var_p, dx=dx, dp=dp,
-                      product=dx * dp, tail=_table(model, spec).tail)
+                      product=dx * dp, tail=tail)

@@ -36,7 +36,6 @@ __all__ = [
     "linear_potential",
     "pt_potential",
     "build_hamiltonian",
-    "fd_schrodinger_eigenvalues",
     "spectrum_compare",
 ]
 
@@ -107,11 +106,6 @@ def build_hamiltonian(spec):
     diag = (1.0 / h[:-1] + 1.0 / h[1:]) / (2.0 * m * w) + (m + s) ** 2 / (2.0 * m)
     off = -1.0 / (2.0 * m * h[1:-1] * np.sqrt(w[:-1] * w[1:]))
     return TridiagonalMatrix(diag, off)
-
-
-def fd_schrodinger_eigenvalues(spec, count):
-    """The lowest `count` eigenvalues epsilon_n of the discretized H_s, to TOL."""
-    return tridiag_smallest_eigenvalues(build_hamiltonian(spec), count, tol=TOL)
 
 
 def spectrum_compare(spec, analytic_energies):

@@ -106,8 +106,8 @@ class PTModel:
         """log(mu^n lambda / (n! (2 lambda)_n (n + lambda))) = log |c_n|^2 +
         log_norm(mu); one level n < 2^102, mu > 0."""
         lam = self.lam
-        return n * math.log(mu) - math.lgamma(n + 1.0) + (
-            math.lgamma(2.0 * lam) - math.lgamma(n + 2.0 * lam)
+        return n * math.log(mu) - log_gamma(n + 1.0) + (
+            log_gamma(2.0 * lam) - log_gamma(n + 2.0 * lam)
             + math.log(lam / (n + lam)))
 
     def log_norm(self, mu):

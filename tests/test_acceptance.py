@@ -48,9 +48,8 @@ def test_02_heisenberg_floor():
     worst = math.inf
     t_lattice = np.linspace(0.0, 20.0, 41)
     for alpha in (0.0, ALPHA_SMALL, ALPHA_LARGE, 2 - 1j):
-        spec = CoherentSpec(alpha, 50)
-        for t in t_lattice:
-            worst = min(worst, linear_osc.uncertainties(LINEAR, spec, t)[2])
+        ts = linear_osc.time_series(LINEAR, CoherentSpec(alpha, 50), t_lattice)
+        worst = min(worst, ts.product.min())
     grid = evolution.default_grid(LINEAR)
     for alpha in (ALPHA_SMALL, ALPHA_LARGE):
         state = evolution.coherent_coefficients(LINEAR, alpha, 50)

@@ -189,10 +189,10 @@ class TestHeisenbergProduct:
         spec = CoherentSpec(0.1 + 0.2j, 50)
         state = evolution.coherent_coefficients(m, spec.alpha, spec.truncation)
         grid = default_grid(m)
-        for t in (0.0, 7.3):
+        want = linear_osc.time_series(m, spec, [0.0, 7.3]).product
+        for t, closed_form in zip((0.0, 7.3), want):
             _, _, prod = heisenberg_product(state, grid, t)
-            _, _, want = linear_osc.uncertainties(m, spec, t)
-            assert prod == pytest.approx(want, abs=1e-6)
+            assert prod == pytest.approx(closed_form, abs=1e-6)
 
     def test_pt_state_bounded_below(self):
         m = PTModel(1, 1)

@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_hermite
@@ -15,7 +16,6 @@ from kgcoherent.linear_osc import (
     coherent_coefficients,
     expectation_series,
     time_series,
-    uncertainties,
 )
 from kgcoherent.numerics import Grid, GridFunction, compensated_sum, quadrature
 
@@ -24,8 +24,8 @@ BLOCK = linear_osc._BLOCK_CELLS // 51
 
 
 def reference_series(model, spec, t):
-    """expectation_series with every array rebuilt at each t: the formula the
-    cached series table must reproduce bit for bit."""
+    """expectation_series at one t with 1-D arrays of n: the formula the
+    blocked series over a column of t must reproduce bit for bit."""
     t = float(t)
     alpha = complex(spec.alpha)
     a, b = alpha.real, alpha.imag
@@ -211,32 +211,18 @@ class TestSeriesTable:
         with pytest.raises(ValueError, match="1-D"):
             expectation_series(LinearModel(), CoherentSpec(0.5, 10), np.zeros((2, 3)))
 
-    def test_arrays_read_only(self):
-        table = linear_osc._table(LinearModel(1.0, 1.0), CoherentSpec(1 + 2j, 50))
-        for array in (table.weights, table.gap1, table.gap2):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    def test_zero_d_or_empty_t_grid_rejected(self):
+        for t_grid in (1.0, np.array(1.0), [], np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="1-D"):
+                time_series(LinearModel(), CoherentSpec(0.5), t_grid)
 
-    def test_cache_is_bounded(self):
-        # every benchmark job, CLI call and test builds a new (model, spec)
-        for j in range(3 * linear_osc._TABLES):
-            expectation_series(LinearModel(1.0, 1.0 + j / 64.0),
-                               CoherentSpec(0.5 + j / 64.0, 50), 0.3)
-        info = linear_osc._table.cache_info()
-        assert info.maxsize == linear_osc._TABLES
-        assert info.currsize <= linear_osc._TABLES
-
-    def test_equal_fields_share_a_table(self):
-        table = linear_osc._table
-        assert (table(LinearModel(1.0, 2.0), CoherentSpec(1 + 2j, 50))
-                is table(LinearModel(1, 2), CoherentSpec(complex(1, 2), 50)))
-        base = table(LinearModel(1.0, 2.0), CoherentSpec(1 + 2j, 50))
-        for model, spec in ((LinearModel(1.0, 2.5), CoherentSpec(1 + 2j, 50)),
-                            (LinearModel(1.5, 2.0), CoherentSpec(1 + 2j, 50)),
-                            (LinearModel(1.0, 2.0), CoherentSpec(1 - 2j, 50)),
-                            (LinearModel(1.0, 2.0), CoherentSpec(1 + 2j, 51))):
-            assert table(model, spec) is not base
+    def test_list_t_gives_arrays(self):
+        model, spec = LinearModel(), CoherentSpec(0.5)
+        got = expectation_series(model, spec, [0.0, 1.0])
+        want = expectation_series(model, spec, np.array([0.0, 1.0]))
+        for array, column in zip(got, want):
+            assert isinstance(array, np.ndarray) and array.shape == (2,)
+            assert array.tobytes() == column.tobytes()
 
     def test_tail_reported(self):
         # N = 50 drops about 1.2e-2 of the norm at alpha = 6, where dx*dp
@@ -268,35 +254,65 @@ class TestSeriesTable:
                 time_series(LinearModel(1, 1), CoherentSpec(math.sqrt(mu), 2000), [0.0])
 
 
+class TestHighPrecision:
+    """The same truncated series (n <= N = 50) summed in 40-digit mpmath from
+    the float64 inputs: what float64 rounding costs, not the truncation."""
+
+    @staticmethod
+    def mp_series(k, alpha, n_max, times):
+        mpf = mpmath.mpf
+        with mpmath.workdps(40):
+            k, a, b = mpf(k), mpf(alpha.real), mpf(alpha.imag)
+            r2 = a * a + b * b
+            e = [mpmath.sqrt((2 * n + 1) * k) for n in range(n_max + 3)]
+            w = [mpmath.exp(-r2) * r2 ** n / mpmath.factorial(n)
+                 for n in range(n_max + 1)]
+            rows = []
+            for t in map(mpf, times):
+                sx = sp = cross = mpf(0)
+                for n in range(n_max + 1):
+                    th1, th2 = (e[n] - e[n + 1]) * t, (e[n] - e[n + 2]) * t
+                    sx += w[n] * (a * mpmath.cos(th1) - b * mpmath.sin(th1))
+                    sp += w[n] * (a * mpmath.sin(th1) + b * mpmath.cos(th1))
+                    cross += w[n] * ((a * a - b * b) * mpmath.cos(th2)
+                                     - 2 * a * b * mpmath.sin(th2))
+                half = r2 + mpf(0.5)
+                rows.append([float(v) for v in (
+                    mpmath.sqrt(2 / k) * sx, mpmath.sqrt(2 * k) * sp,
+                    half / k + cross / k, k * half - k * cross)])
+            return rows
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.1 + 0.2j, 1 + 2j])  # fig1's and fig2's
+    def test_matches_40_digits(self, k, alpha):
+        times = [0.0, 0.7, 12.9, 47.75, 100.0]
+        model, spec = LinearModel(1.0, k), CoherentSpec(alpha, 50)
+        got = np.array(expectation_series(model, spec, times)).T
+        scale = 1e-12 * (1.0 + abs(alpha) ** 2)
+        for row, want in zip(got, self.mp_series(k, alpha, 50, times)):
+            assert row[0] == pytest.approx(want[0], rel=1e-12, abs=1e-14)
+            assert row[1] == pytest.approx(want[1], rel=1e-12, abs=1e-14)
+            assert abs(row[2] - want[2]) <= scale
+            assert abs(row[3] - want[3]) <= scale
+
+
 class TestUncertainties:
     def test_vacuum(self):
-        m = LinearModel(1, 1)
-        for t in (0.0, 5.0):
-            dx, dp, prod = uncertainties(m, CoherentSpec(0.0, 50), t)
+        ts = time_series(LinearModel(1, 1), CoherentSpec(0.0, 50), [0.0, 5.0])
+        for dx, dp, prod in zip(ts.dx, ts.dp, ts.product):
             assert dx == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
             assert dp == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
             assert prod == pytest.approx(0.5, rel=1e-13)
 
     def test_small_alpha_nearly_coherent(self):
-        m = LinearModel(1, 1)
-        _, _, prod = uncertainties(m, CoherentSpec(0.1 + 0.2j, 50), 0.0)
-        assert 0.50 <= prod <= 0.51
+        ts = time_series(LinearModel(1, 1), CoherentSpec(0.1 + 0.2j, 50), [0.0])
+        assert 0.50 <= ts.product[0] <= 0.51
 
     def test_heisenberg_floor(self):
         m = LinearModel(1, 1)
         for alpha in (0.1 + 0.2j, 1 + 2j, 2 - 1j):
-            spec = CoherentSpec(alpha, 50)
-            for t in np.linspace(0.0, 30.0, 61):
-                _, _, prod = uncertainties(m, spec, t)
-                assert prod >= 0.5 * (1.0 - 1e-6)
-
-    def test_matches_time_series(self):
-        m = LinearModel(1, 1.3)
-        spec = CoherentSpec(1 - 0.7j, 50)
-        t_grid = np.linspace(0.0, 20.0, 9)
-        ts = time_series(m, spec, t_grid)
-        for i, t in enumerate(t_grid):
-            assert uncertainties(m, spec, t) == (ts.dx[i], ts.dp[i], ts.product[i])
+            ts = time_series(m, CoherentSpec(alpha, 50), np.linspace(0.0, 30.0, 61))
+            assert np.all(ts.product >= 0.5 * (1.0 - 1e-6))
 
     def test_negative_variance_names_first_bad_t(self, monkeypatch):
         # <x^2> below <x>^2 at t >= 2 only; time_series passes the whole grid
@@ -307,7 +323,7 @@ class TestUncertainties:
         monkeypatch.setattr(linear_osc, "expectation_series", series)
         m, spec = LinearModel(1, 1), CoherentSpec(0.5, 10)
         with pytest.raises(VarianceError, match=r"at t=2\.5: var_x=-5\.000e-01"):
-            uncertainties(m, spec, 2.5)
+            time_series(m, spec, [2.5])
         with pytest.raises(VarianceError, match=r"at t=2\.0:"):
             time_series(m, spec, [0.0, 1.0, 2.0, 3.0])
 

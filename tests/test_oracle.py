@@ -10,7 +10,6 @@ from kgcoherent.linear_osc import LinearModel
 from kgcoherent.oracle import (
     PotentialSpec,
     build_hamiltonian,
-    fd_schrodinger_eigenvalues,
     linear_potential,
     pt_potential,
     spectrum_compare,
@@ -25,7 +24,7 @@ class TestHamiltonian:
         # (1/h^2)(1 - cos(j pi/(n+1))) + 1/2, exactly
         spec = PotentialSpec(1.0, lambda x: np.zeros_like(x),
                              Grid(0.0, 1.0, 202), "box")
-        eigs = fd_schrodinger_eigenvalues(spec, 5)
+        eigs = tridiag_smallest_eigenvalues(build_hamiltonian(spec), 5, tol=oracle.TOL)
         n = 200
         h = spec.grid.h
         j = np.arange(1, 6)
@@ -87,7 +86,8 @@ class TestLinearSpectrum:
                                    rtol=1e-12, atol=0.0)
 
     def test_monotone_spectrum(self):
-        eigs = fd_schrodinger_eigenvalues(linear_potential(count=1001), 10)
+        eigs = tridiag_smallest_eigenvalues(
+            build_hamiltonian(linear_potential(count=1001)), 10, tol=oracle.TOL)
         assert np.all(np.diff(eigs) > 0.0)
 
 
@@ -166,7 +166,8 @@ class TestHintsSteerCountsDecide:
         spectrum_compare(spec, analytic.energies(levels - 1))
         monkeypatch.undo()
         for grid in (spec, spec.refined(2)):
-            want = fd_schrodinger_eigenvalues(grid, levels)
+            want = tridiag_smallest_eigenvalues(build_hamiltonian(grid), levels,
+                                                tol=oracle.TOL)
             got = solves[grid.grid.count - 2]
             assert np.all(np.abs(got - want) <= 1e-10)
         if levels == 20:  # the coarse hints are 1% wide about the rough levels
